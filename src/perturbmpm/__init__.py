@@ -20,7 +20,7 @@ from .gumbel import (EULER_GAMMA, GumbelSampler, SampleSet, SamplingConfig,
 from .lattice import PermutohedralLattice
 from .meanfield import (InferenceConfig, check_marginal_field,
                         mean_field_infer, mean_field_init, mean_field_step,
-                        message_pass_exact, message_pass_lattice, mpm_decode)
+                        message_pass_lattice, mpm_decode)
 from .metrics import (binary_entropy, entropy_error_bound, entropy_map,
                       hamming_loss, required_sample_size, total_variation,
                       voxelwise_total_variation)

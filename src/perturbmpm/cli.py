@@ -21,7 +21,7 @@ from .evaluation import SyntheticExperimentConfig, run_biomarker_experiment, \
     run_synthetic_experiment
 from .gumbel import GumbelSampler, SamplingConfig, empirical_marginals, \
     perturb_and_mpm
-from .meanfield import mean_field_infer, mpm_decode
+from .meanfield import _infer_batched, mpm_decode
 from .metrics import entropy_map, required_sample_size, total_variation
 from .oracle import enumerate_gibbs, exact_marginals, \
     perturb_and_map_full_order_many
@@ -128,15 +128,23 @@ def _sampling_config(cfg) -> SamplingConfig:
 def _cmd_infer(args) -> int:
     cfg = _resolve(parse_config(args.model), args)
     model = load_model(cfg)
-    q, n_iter = mean_field_infer(model, cfg.inference())
+    inference = cfg.inference()
+    q, iterations, converged = _infer_batched(model, model.unary[None],
+                                              inference)
+    q = q[0]
     write_tensor(args.out, q)
     write_manifest(args.out, "infer", cfg.echo(), __version__)
     if args.csv:
         write_marginals_csv(args.csv, q)
         write_manifest(args.csv, "infer", cfg.echo(), __version__)
     labels = mpm_decode(q)
-    print(f"converged in {n_iter} iterations; "
-          f"label counts {np.bincount(labels, minlength=model.n_labels).tolist()}")
+    if converged[0]:
+        status = f"converged in {iterations[0]} iterations"
+    else:
+        status = (f"stopped at the {inference.max_iterations}-iteration cap "
+                  "without converging")
+    counts = np.bincount(labels, minlength=model.n_labels).tolist()
+    print(f"{status}; label counts {counts}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

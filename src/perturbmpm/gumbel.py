@@ -152,8 +152,8 @@ def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
         noise = np.stack([
             iteration_noise(cfg.seed, t, (n, m), cfg.euler_shift)
             for t in range(start, stop)])
-        q, _ = _infer_batched(model, model.unary[None] - noise,
-                              cfg.inference, passer)
+        q = _infer_batched(model, model.unary[None] - noise,
+                           cfg.inference, passer)[0]
         out[start:stop] = mpm_decode(q)
     return SampleSet(out, m)
 

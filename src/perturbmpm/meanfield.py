@@ -5,12 +5,18 @@ The marginal update is the parallel (synchronous) form
     Q'_i(l) = softmax_l( -psi_u(i, l) - sum_k msg_k(i, l) )
     msg_k(i, l) = sum_{j != i} k(i, j) * (1 - Q_j(l))        (Potts)
 
-with two interchangeable message-passing backends: an exact O(N^2 m)
-matrix product and an approximate permutohedral-lattice filter.
+with two interchangeable message-passing backends.  The exact backend
+sums every kernel without approximation: a Gaussian over the grid
+coordinates factors into one d x d matrix per grid axis, so its messages
+cost O(N * sum(dims)) per label channel; a kernel over any other features
+is a dense N x N matrix product, O(N^2) per channel.  The lattice backend
+approximates the sums with a permutohedral-lattice filter.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 from scipy.special import softmax
@@ -20,6 +26,10 @@ from .lattice import PermutohedralLattice
 from .model import DenseCrfModel, GaussianKernel, kernel_matrix
 
 BACKENDS = ("exact", "lattice")
+# Kernel entries below the smallest normal double (voxel pairs about 38
+# bandwidths apart) are set to zero: each moves a message by less than
+# 1e-307, and subnormal operands slow BLAS down several-fold.
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,19 +56,10 @@ def _init_batched(unaries: np.ndarray) -> np.ndarray:
     return softmax(-unaries, axis=-1)
 
 
-def message_pass_exact(model: DenseCrfModel, q: np.ndarray,
-                       kernel: GaussianKernel) -> np.ndarray:
-    """Exact Potts messages msg(i, l) = sum_{j != i} k(i, j) * (1 - Q_j(l))."""
-    k0 = kernel_matrix(kernel)
-    np.fill_diagonal(k0, 0.0)
-    row_mass = k0.sum(axis=1)
-    return row_mass[..., :, None] - np.einsum("ij,...jl->...il", k0, q)
-
-
 def message_pass_lattice(model: DenseCrfModel, q: np.ndarray,
                          kernel: GaussianKernel,
                          lattice: PermutohedralLattice | None = None) -> np.ndarray:
-    """Lattice-filtered Potts messages; approximates message_pass_exact.
+    """Lattice-filtered Potts messages; approximates the exact backend.
 
     The filter includes each voxel's self-term k(i, i) = weight, which is
     subtracted afterwards to honour the j != i sum.
@@ -81,8 +82,40 @@ def _lattice_apply(lattice: PermutohedralLattice, q: np.ndarray) -> np.ndarray:
     return out.reshape(n, t, m).transpose(1, 0, 2)
 
 
+def _grid_factors(dims: tuple[int, ...],
+                  kernel: GaussianKernel) -> list[np.ndarray] | None:
+    """Per-axis factors of a kernel whose features are grid_coordinates(dims).
+
+    Returns exp(-0.5 ((a - b) / sigma)^2), d x d, for each axis longer
+    than 1 (their product over the axes is the unweighted kernel), or None
+    when the kernel has other features.
+    """
+    if kernel.features.shape[1] != len(dims):
+        return None
+    grid = kernel.features.reshape(*dims, len(dims))
+    factors = []
+    for axis, (d, sigma) in enumerate(zip(dims, kernel.bandwidths)):
+        coordinate = np.arange(d, dtype=np.float64)
+        shape = [1] * len(dims)
+        shape[axis] = d
+        if not (grid[..., axis] == coordinate.reshape(shape)).all():
+            return None
+        if d > 1:
+            a = coordinate / sigma
+            f = np.exp(-0.5 * (a[:, None] - a[None, :]) ** 2)
+            f[f < _TINY] = 0.0
+            factors.append(f)
+    return factors
+
+
 class _MessagePasser:
-    """Per-model message computation, reusable across many marginal fields."""
+    """Per-model message computation, reusable across many marginal fields.
+
+    The exact backend keeps the weighted per-axis factors of each grid
+    kernel and sums every other kernel into one dense matrix; a kernel on
+    a grid with a single axis longer than 1 has one factor, which is its
+    dense matrix, so it joins the dense sum.
+    """
 
     def __init__(self, model: DenseCrfModel, backend: str):
         if backend not in BACKENDS:
@@ -90,12 +123,7 @@ class _MessagePasser:
         self.model = model
         self.backend = backend
         if backend == "exact":
-            k0 = np.zeros((model.n_voxels, model.n_voxels))
-            for kernel in model.kernels:
-                k0 += kernel_matrix(kernel)
-            np.fill_diagonal(k0, 0.0)
-            self._k0 = k0
-            self._row_mass = k0.sum(axis=1)
+            self._init_exact(model)
         else:
             ones = np.ones(model.n_voxels)
             self._filters = []
@@ -104,11 +132,54 @@ class _MessagePasser:
                 neighbour_mass = kernel.weight * (lattice.filter(ones) - 1.0)
                 self._filters.append((kernel, lattice, neighbour_mass))
 
+    def _init_exact(self, model: DenseCrfModel) -> None:
+        dims, m = model.dims, model.n_labels
+        dense = None
+        row_mass = np.zeros(model.n_voxels)
+        self._grid = []          # weighted per-axis factors, one list a kernel
+        self._grid_weight = 0.0  # summed weights of the grid kernels
+        for kernel in model.kernels:
+            factors = _grid_factors(dims, kernel)
+            if factors is not None and len(factors) > 1:
+                factors[0] = kernel.weight * factors[0]
+                self._grid.append(factors)
+                self._grid_weight += kernel.weight
+                mass = functools.reduce(np.multiply.outer,
+                                        [f.sum(axis=1) for f in factors])
+                row_mass += mass.ravel() - kernel.weight
+                continue
+            if factors:
+                k = kernel.weight * factors[0]
+            else:
+                k = kernel_matrix(kernel)
+                k[k < _TINY] = 0.0
+            dense = k if dense is None else dense + k
+        if dense is not None:
+            np.fill_diagonal(dense, 0.0)
+            row_mass += dense.sum(axis=1)
+        self._dense = dense
+        self._row_mass = row_mass[:, None]
+        # (batch, axis length, trailing voxels x labels) of each long axis,
+        # so one matmul applies that axis's factor to a C-ordered field
+        self._axis_shapes = [(-1, d, math.prod(dims[a + 1:]) * m)
+                             for a, d in enumerate(dims) if d > 1]
+
     def messages(self, q: np.ndarray) -> np.ndarray:
         """Summed Potts messages for marginals of shape (..., N, m)."""
         if self.backend == "exact":
-            return (self._row_mass[..., :, None]
-                    - np.einsum("ij,...jl->...il", self._k0, q))
+            if self._dense is None and not self._grid:
+                return np.zeros_like(q)
+            out = self._row_mass
+            if self._dense is not None:
+                out = out - np.matmul(self._dense, q)
+            if self._grid:
+                out = out + self._grid_weight * q
+                for factors in self._grid:
+                    kq = q
+                    for f, shape in zip(factors, self._axis_shapes):
+                        kq = np.matmul(f, kq.reshape(shape))
+                    out -= kq.reshape(q.shape)
+            return out
         total = np.zeros_like(q)
         for kernel, lattice, neighbour_mass in self._filters:
             neigh = kernel.weight * (_lattice_apply(lattice, q) - q)
@@ -132,12 +203,13 @@ def mean_field_step(model: DenseCrfModel, q: np.ndarray, backend: str = "exact",
 def _infer_batched(model: DenseCrfModel, unaries: np.ndarray,
                    cfg: InferenceConfig,
                    passer: _MessagePasser | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean-field inference for a batch of unary fields sharing the kernels.
 
     Converged batch entries are frozen so results are identical to running
-    each entry on its own.  Returns (marginals, iterations) with shapes
-    (T, N, m) and (T,).
+    each entry on its own.  Returns (marginals, iterations, converged) with
+    shapes (T, N, m), (T,) and (T,); an entry that never changed by less
+    than the tolerance stops at the iteration cap with converged False.
     """
     if passer is None:
         passer = _MessagePasser(model, cfg.backend)
@@ -150,12 +222,14 @@ def _infer_batched(model: DenseCrfModel, unaries: np.ndarray,
         q_new = softmax(-e, axis=-1)
         delta = np.abs(q_new - q[active]).max(axis=(1, 2))
         q[active] = q_new
-        converged = delta < cfg.convergence_tol
-        iterations[active[converged]] = it + 1
-        active = active[~converged]
+        done = delta < cfg.convergence_tol
+        iterations[active[done]] = it + 1
+        active = active[~done]
         if active.size == 0:
             break
-    return q, iterations
+    converged = np.ones(t, dtype=bool)
+    converged[active] = False
+    return q, iterations, converged
 
 
 def mean_field_infer(model: DenseCrfModel, cfg: InferenceConfig | None = None
@@ -163,7 +237,7 @@ def mean_field_infer(model: DenseCrfModel, cfg: InferenceConfig | None = None
     """Iterate mean-field sweeps to convergence; returns (Q, n_iterations)."""
     if cfg is None:
         cfg = InferenceConfig()
-    q, iterations = _infer_batched(model, model.unary[None, :, :], cfg)
+    q, iterations, _ = _infer_batched(model, model.unary[None, :, :], cfg)
     return q[0], int(iterations[0])
 
 

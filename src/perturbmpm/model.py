@@ -115,7 +115,9 @@ def kernel_weight(kernel: GaussianKernel, i: int, j: int) -> float:
 def kernel_matrix(kernel: GaussianKernel) -> np.ndarray:
     """Full (N, N) kernel matrix; O(N^2), intended for small models."""
     f = kernel.scaled_features()
-    sq = ((f[:, None, :] - f[None, :, :]) ** 2).sum(axis=2)
+    sq = np.zeros((f.shape[0], f.shape[0]))
+    for column in f.T:
+        sq += (column[:, None] - column[None, :]) ** 2
     return kernel.weight * np.exp(-0.5 * sq)
 
 

@@ -246,3 +246,21 @@ def test_10_bitwise_determinism(tmp_path):
         identical = identical and outs[0] == outs[1]
     report("bitwise determinism", identical,
            f"{len(jobs)} pipelines re-run with identical seeds")
+
+
+def test_11_exact_grid_scale():
+    """The exact backend solves a 128x128 4-label grid without an N x N
+    matrix, within the time the lattice budget allows."""
+    probs = np.random.default_rng(1).dirichlet(np.ones(4), size=128 * 128)
+    big = pm.build_grid_model((128, 128), 4,
+                              pm.unaries_from_probabilities(probs),
+                              [(1.0, 1.0)])
+    t0 = time.time()
+    q, n_iter = pm.mean_field_infer(big, pm.InferenceConfig(
+        max_iterations=10, convergence_tol=0.0, backend="exact"))
+    elapsed = time.time() - t0
+    rows = np.abs(q.sum(axis=1) - 1.0).max()
+    report("exact grid scale",
+           n_iter == 10 and rows <= 1e-12 and elapsed < 5.0,
+           f"128x128 4-label 10-iter {elapsed:.2f}s (budget 5s), "
+           f"row-sum error {rows:.1e}")

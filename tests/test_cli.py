@@ -40,6 +40,24 @@ def test_infer_writes_marginals(model_cfg, tmp_path, capsys):
     assert (tmp_path / "q.pmt.manifest.txt").exists()
 
 
+def test_infer_reports_iteration_cap(model_cfg, tmp_path, capsys):
+    model_cfg.write_text(model_cfg.read_text() + "iterations = 2\n")
+    assert main(["infer", "--model", str(model_cfg),
+                 "--out", str(tmp_path / "q.pmt")]) == 0
+    out = capsys.readouterr().out
+    assert "stopped at the 2-iteration cap without converging" in out
+    assert "converged in" not in out
+
+
+def test_infer_reports_convergence(model_cfg, tmp_path, capsys):
+    model_cfg.write_text(model_cfg.read_text() + "iterations = 200\n")
+    assert main(["infer", "--model", str(model_cfg),
+                 "--out", str(tmp_path / "q.pmt")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    n_iter = int(first.split("converged in ")[1].split()[0])
+    assert 2 < n_iter < 200
+
+
 def test_sample_writes_u32_stack(model_cfg, tmp_path):
     out = tmp_path / "s.pmt"
     assert main(["sample", "--model", str(model_cfg),

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
-from perturbmpm import (DenseCrfModel, InferenceConfig, ModelShapeError,
-                        build_grid_model, check_marginal_field,
+from perturbmpm import (DenseCrfModel, GaussianKernel, InferenceConfig,
+                        ModelShapeError, build_grid_model,
+                        check_marginal_field, grid_coordinates,
                         mean_field_infer, mean_field_init, mean_field_step,
                         mpm_decode)
-from perturbmpm.meanfield import _infer_batched, _MessagePasser, \
-    message_pass_exact
+from perturbmpm.meanfield import _infer_batched, _MessagePasser
 
 
 def grid_model(n=4, weight=1.0, seed=0):
@@ -42,13 +42,84 @@ def test_single_node_exact():
 def test_message_pass_exact_brute_force():
     model = grid_model(n=3, weight=1.3)
     q = mean_field_init(model)
-    msgs = message_pass_exact(model, q, model.kernels[0])
+    msgs = _MessagePasser(model, "exact").messages(q)
     from perturbmpm import kernel_weight
     for i in range(3):
         for l in range(2):
             want = sum(kernel_weight(model.kernels[0], i, j) * (1 - q[j, l])
                        for j in range(3) if j != i)
             assert msgs[i, l] == pytest.approx(want)
+
+
+def brute_force_messages(model, q):
+    """sum_{j != i} k(i, j) (1 - q_j(l)), kernel by kernel, from the
+    features of every voxel pair."""
+    out = np.zeros(np.shape(q))
+    for kernel in model.kernels:
+        z = ((kernel.features[:, None, :] - kernel.features[None, :, :])
+             / kernel.bandwidths)
+        k = kernel.weight * np.exp(-0.5 * (z ** 2).sum(axis=2))
+        np.fill_diagonal(k, 0.0)
+        out += k.sum(axis=1)[:, None] - np.einsum("ij,...jl->...il", k, q)
+    return out
+
+
+def random_marginals(shape, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(shape[-1]),
+                                                 size=shape[:-1])
+
+
+@pytest.mark.parametrize("dims, kernels", [
+    ((17,), [(1.3, 2.0)]),
+    ((6, 9), [(1.0, (1.5, 3.0)), (0.7, (4.0, 0.8))]),
+    ((3, 4, 5), [(0.9, (1.0, 2.0, 1.5))]),
+    ((4, 1, 5), [(1.1, (0.7, 1.0, 2.5))]),
+    ((1, 7), [(2.0, 1.2)]),
+])
+def test_grid_kernel_messages_match_brute_force(dims, kernels):
+    n = int(np.prod(dims))
+    model = build_grid_model(dims, 3, np.zeros((n, 3)), kernels)
+    passer = _MessagePasser(model, "exact")
+    # no N x N matrix unless one axis holds the whole grid
+    assert (passer._dense is None) == (sum(d > 1 for d in dims) > 1)
+    for shape in ((n, 3), (5, n, 3)):
+        q = random_marginals(shape, seed=len(shape))
+        err = np.abs(passer.messages(q) - brute_force_messages(model, q))
+        assert err.max() <= 1e-12
+
+
+def test_far_pairs_underflow_to_zero():
+    dims = (60, 3)
+    reversed_grid = GaussianKernel(0.5, grid_coordinates(dims)[::-1],
+                                   (1.5, 1.5))
+    model = build_grid_model(dims, 2, np.zeros((180, 2)),
+                             [(1.0, 1.5), reversed_grid])
+    passer = _MessagePasser(model, "exact")
+    tiny = np.finfo(np.float64).tiny
+    for k in (passer._grid[0][0], passer._dense):
+        assert k.min() == 0.0
+        assert np.all((k == 0.0) | (k >= tiny))
+    q = random_marginals((180, 2), seed=4)
+    err = np.abs(passer.messages(q) - brute_force_messages(model, q))
+    assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("reorder", ["permuted", "random"])
+def test_non_grid_features_take_dense_path(reorder):
+    dims = (4, 5)
+    rng = np.random.default_rng(6)
+    coords = grid_coordinates(dims)
+    features = (coords[rng.permutation(20)] if reorder == "permuted"
+                else rng.random((20, 2)) * 4.0)
+    kernels = [GaussianKernel(0.8, features, (1.5, 2.0)), (1.2, (1.0, 2.5))]
+    model = build_grid_model(dims, 3, np.zeros((20, 3)), kernels)
+    passer = _MessagePasser(model, "exact")
+    assert passer._dense is not None
+    assert len(passer._grid) == 1
+    for shape in ((20, 3), (4, 20, 3)):
+        q = random_marginals(shape, seed=7)
+        err = np.abs(passer.messages(q) - brute_force_messages(model, q))
+        assert err.max() <= 1e-12
 
 
 def test_step_rows_sum_to_one():
@@ -78,11 +149,38 @@ def test_batched_matches_sequential():
     unaries = rng.random((7, 5, 2))
     cfg = InferenceConfig()
     passer = _MessagePasser(model, "exact")
-    q_batch, it_batch = _infer_batched(model, unaries, cfg, passer)
+    q_batch, it_batch, ok_batch = _infer_batched(model, unaries, cfg, passer)
     for t in range(7):
-        q_one, it_one = _infer_batched(model, unaries[t:t + 1], cfg, passer)
+        q_one, it_one, ok_one = _infer_batched(model, unaries[t:t + 1], cfg,
+                                               passer)
         assert np.array_equal(q_batch[t], q_one[0])
         assert it_batch[t] == it_one[0]
+        assert ok_batch[t] == ok_one[0]
+
+
+def test_batched_matches_sequential_on_2d_grid():
+    model = build_grid_model((5, 7), 3, np.zeros((35, 3)),
+                             [(1.5, (1.0, 2.0))])
+    unaries = np.random.default_rng(2).random((6, 35, 3))
+    cfg = InferenceConfig(max_iterations=30)
+    passer = _MessagePasser(model, "exact")
+    q_batch, it_batch, ok_batch = _infer_batched(model, unaries, cfg, passer)
+    for t in range(6):
+        q_one, it_one, ok_one = _infer_batched(model, unaries[t:t + 1], cfg,
+                                               passer)
+        assert np.array_equal(q_batch[t], q_one[0])
+        assert (it_batch[t], ok_batch[t]) == (it_one[0], ok_one[0])
+
+
+def test_infer_batched_reports_convergence():
+    model = grid_model(n=5, weight=1.0, seed=1)
+    unaries = np.random.default_rng(3).random((2, 5, 2))
+    _, iterations, converged = _infer_batched(
+        model, unaries, InferenceConfig(max_iterations=2))
+    assert iterations.tolist() == [2, 2] and not converged.any()
+    _, iterations, converged = _infer_batched(
+        model, unaries, InferenceConfig(max_iterations=200))
+    assert converged.all() and np.all(iterations < 200)
 
 
 def test_mpm_decode_tie_breaks_low():
