@@ -13,14 +13,13 @@ from .evaluation import (BiomarkerReport, ErrorCurve, ErrorCurveRow,
                          compute_eor, corrected_label_volume, label_volume,
                          random_grid_model, run_biomarker_experiment,
                          run_synthetic_experiment, uncertainty_confusion)
-from .gumbel import (EULER_GAMMA, GumbelSampler, SampleSet, SamplingConfig,
-                     ZeroNoiseSampler, empirical_marginals, gumbel_max_select,
-                     gumbel_max_select_many, iteration_noise, perturb_and_mpm,
-                     perturb_unaries, sample_gumbel)
+from .gumbel import (EULER_GAMMA, SampleSet, SamplingConfig,
+                     empirical_marginals, gumbel_max_select_many,
+                     iteration_noise, perturb_and_mpm)
 from .lattice import PermutohedralLattice
 from .meanfield import (InferenceConfig, check_marginal_field,
                         mean_field_infer, mean_field_init, mean_field_step,
-                        message_pass_lattice, mpm_decode)
+                        mpm_decode)
 from .metrics import (binary_entropy, entropy_error_bound, entropy_map,
                       hamming_loss, required_sample_size, total_variation,
                       voxelwise_total_variation)
@@ -28,10 +27,9 @@ from .model import (DenseCrfModel, GaussianKernel, build_grid_model, energy,
                     grid_coordinates, kernel_matrix, kernel_weight,
                     pairwise_matrix, potts, unaries_from_probabilities)
 from .oracle import (ExactDistribution, decode_labeling, encode_labeling,
-                     enumerate_gibbs, exact_gibbs_sample,
-                     exact_gibbs_sample_many, exact_map, exact_marginals,
-                     kl_product_vs_exact, n_states, perturb_and_map_full_order,
-                     perturb_and_map_full_order_many, perturb_and_map_order1,
+                     enumerate_gibbs, exact_gibbs_sample_many, exact_map,
+                     exact_marginals, kl_product_vs_exact, n_states,
+                     perturb_and_map_full_order_many,
                      perturb_and_map_order1_many)
 from .tensorio import (read_pgm, read_tensor, write_manifest, write_pgm,
                        write_tensor)

@@ -19,8 +19,8 @@ from .config import load_model, parse_config
 from .errors import CapacityError, ConfigError, FormatError, ModelShapeError
 from .evaluation import SyntheticExperimentConfig, run_biomarker_experiment, \
     run_synthetic_experiment
-from .gumbel import GumbelSampler, SamplingConfig, empirical_marginals, \
-    perturb_and_mpm
+from .gumbel import SampleSet, SamplingConfig, check_seed, \
+    empirical_marginals, perturb_and_mpm
 from .meanfield import _infer_batched, mpm_decode
 from .metrics import entropy_map, required_sample_size, total_variation
 from .oracle import enumerate_gibbs, exact_marginals, \
@@ -120,6 +120,12 @@ def _resolve(cfg, args):
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+# Config keys that `biomarker` applies to both models, with their fields.
+_SHARED_KEYS = (("seed", "seed"), ("samples", "n_samples"),
+                  ("backend", "backend"), ("iterations", "max_iterations"),
+                  ("tol", "convergence_tol"), ("threshold", "threshold"))
+
+
 def _sampling_config(cfg) -> SamplingConfig:
     return SamplingConfig(cfg.n_samples, seed=cfg.seed,
                           inference=cfg.inference())
@@ -208,12 +214,24 @@ def _cmd_biomarker(args) -> int:
 
     pre_cfg = _resolve(parse_config(args.pre_model), args)
     post_cfg = _resolve(parse_config(args.post_model), args)
+    differ = [key for key, field in _SHARED_KEYS
+              if getattr(pre_cfg, field) != getattr(post_cfg, field)]
+    if differ:
+        raise ConfigError(
+            "--pre-model and --post-model configs must agree on how both "
+            f"are sampled; they differ in {', '.join(differ)}")
+    truths = []
+    for path, cfg in ((args.truth_pre, pre_cfg), (args.truth_post, post_cfg)):
+        truth = read_tensor(path)
+        if truth.size != cfg.n_voxels:
+            raise FormatError(
+                f"{path}: truth has {truth.size} voxels, its model has "
+                f"{cfg.n_voxels}")
+        truths.append(truth.ravel())
     pre_model = load_model(pre_cfg)
     post_model = load_model(post_cfg)
-    truth_pre = read_tensor(args.truth_pre)
-    truth_post = read_tensor(args.truth_post)
     report = run_biomarker_experiment(
-        pre_model, post_model, truth_pre.ravel(), truth_post.ravel(),
+        pre_model, post_model, *truths,
         _sampling_config(pre_cfg), args.target_label,
         threshold=pre_cfg.threshold)
     write_biomarker_csv(args.out, report)
@@ -232,9 +250,7 @@ def _cmd_oracle_check(args) -> int:
     exact = exact_marginals(enumerate_gibbs(model))
     run = perturb_and_mpm(model, SamplingConfig(args.samples, seed=args.seed))
     tv_mpm = total_variation(empirical_marginals(run), exact)
-    full = perturb_and_map_full_order_many(
-        model, GumbelSampler(args.seed), args.samples)
-    from .gumbel import SampleSet
+    full = perturb_and_map_full_order_many(model, args.seed, args.samples)
     tv_full = total_variation(
         empirical_marginals(SampleSet(full, model.n_labels)), exact)
     print(f"N={args.n} T={args.samples}")
@@ -263,6 +279,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed)
         return _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"pmpm: capacity error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ Schema (one `key = value` per line, '#' comments, blank lines ignored):
     unary     = potentials.pmt   PMPM tensor of (N, m) potentials in nats
     prob_map  = a.pgm b.pgm      per-label probability maps (one PGM each)
     kernel    = 1.0 1.0          weight then one sigma per dim (repeatable)
-    seed      = 0
+    seed      = 0                noise key, 0 <= seed < 2**64
     samples   = 200
     backend   = exact            exact | lattice
     threshold = 0.0              uncertainty threshold in bits
@@ -22,11 +22,13 @@ uniform.  Relative paths resolve against the config file's directory.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .gumbel import check_seed
 from .meanfield import BACKENDS, InferenceConfig
 from .metrics import required_sample_size
 from .model import DenseCrfModel, build_grid_model, unaries_from_probabilities
@@ -106,9 +108,12 @@ def _parse_int(path, lineno, key, text):
 
 def _parse_float(path, lineno, key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        _fail(path, lineno, f"{key}: expected a number, got {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        _fail(path, lineno, f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def parse_config(path) -> RunConfig:
@@ -116,8 +121,12 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}: no such config file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     fields: dict = {"kernel": [], "prob_map": ()}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -159,7 +168,12 @@ def parse_config(path) -> RunConfig:
             fields["prob_map"] = tuple(value.split())
         elif key in ("seed", "samples", "iterations"):
             v = _parse_int(path, lineno, key, value)
-            if key != "seed" and v < 1:
+            if key == "seed":
+                try:
+                    check_seed(v)
+                except ValueError as exc:
+                    _fail(path, lineno, f"seed: {exc}")
+            elif v < 1:
                 _fail(path, lineno, f"{key}: must be >= 1")
             fields[key] = v
         elif key == "backend":

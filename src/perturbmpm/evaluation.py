@@ -27,7 +27,6 @@ class SyntheticExperimentConfig:
     kernel_bandwidth: float = 1.0
     inference: InferenceConfig = dataclasses.field(default_factory=InferenceConfig)
     log_scale: bool = False         # compare log-probabilities instead
-    nested_prefixes: bool = True    # score prefixes of one long run
 
     def __post_init__(self):
         if any(n < 1 for n in self.grid_sizes) or not self.grid_sizes:
@@ -87,7 +86,10 @@ def random_grid_model(n: int, seed: int, kernel_weight: float = 1.0,
 
 def run_synthetic_experiment(cfg: SyntheticExperimentConfig) -> ErrorCurve:
     """Compare empirical perturbed-MPM marginals and unperturbed mean-field
-    marginals against enumerated exact marginals over random unary draws."""
+    marginals against enumerated exact marginals over random unary draws.
+
+    Each sample count scores a prefix of one run of the largest count.
+    """
     counts = sorted(set(int(s) for s in cfg.sample_counts))
     max_count = counts[-1]
     sampled = {(n, s): [] for n in cfg.grid_sizes for s in counts}
@@ -100,18 +102,11 @@ def run_synthetic_experiment(cfg: SyntheticExperimentConfig) -> ErrorCurve:
             exact = exact_marginals(enumerate_gibbs(model))
             q, _ = mean_field_infer(model, cfg.inference)
             unperturbed[n].append(_l1_error(q, exact, cfg.log_scale))
-            if cfg.nested_prefixes:
-                run = perturb_and_mpm(model, SamplingConfig(
-                    max_count, seed=seed, inference=cfg.inference))
-                for s in counts:
-                    f_hat = empirical_marginals(run.prefix(s))
-                    sampled[n, s].append(_l1_error(f_hat, exact, cfg.log_scale))
-            else:
-                for k, s in enumerate(counts):
-                    run = perturb_and_mpm(model, SamplingConfig(
-                        s, seed=seed + k + 1, inference=cfg.inference))
-                    f_hat = empirical_marginals(run)
-                    sampled[n, s].append(_l1_error(f_hat, exact, cfg.log_scale))
+            run = perturb_and_mpm(model, SamplingConfig(
+                max_count, seed=seed, inference=cfg.inference))
+            for s in counts:
+                f_hat = empirical_marginals(run.prefix(s))
+                sampled[n, s].append(_l1_error(f_hat, exact, cfg.log_scale))
     rows = tuple(
         ErrorCurveRow(n, s, float(np.mean(sampled[n, s])),
                       float(np.mean(unperturbed[n])))

@@ -1,18 +1,27 @@
-"""Gumbel perturbation sampling: noise generation, unary perturbation,
-the perturb-then-decode sampling loop, and empirical marginal estimation.
+"""Gumbel perturbation sampling: the package's one noise source, the
+perturb-then-decode sampling loop, and empirical marginal estimation.
 
-Noise is drawn by transforming standard uniforms with -log(-log(u)); with
-the Euler-constant shift enabled the draws have zero mean.  Selection and
-decoding minimise potentials, so wherever noise perturbs a quantity that is
-subsequently arg-minimised, the draw is subtracted: argmin_j(theta_j - g_j)
-with max-stable Gumbel g equals argmax_j(g_j - theta_j), which selects
-label j with probability exp(-theta_j) / sum_j' exp(-theta_j') exactly.
-(Adding a max-stable draw and arg-minimising does not reproduce that
-softmax; the bias is measurable for three or more labels.)
+All sampling noise comes from one counter-based generator keyed by the
+seed (Philox; Salmon et al. 2011, "Parallel Random Numbers: As Easy as
+1, 2, 3").  Draw t of a seed is the fixed counter block t: ceil(size / 4)
+counter steps of four 64-bit words each, one standard uniform per word,
+with the unused tail of the last step dropped.  A batch of draws
+[start, stop) is one generator placed at counter start * blocks and one
+draw, and the bits of draw t do not depend on how the draws are batched.
+
+Uniforms become Gumbel draws through -log(-log(u)) minus the Euler
+constant, so the noise has zero mean.  Selection and decoding minimise
+potentials, so wherever noise perturbs a quantity that is subsequently
+arg-minimised, the draw is subtracted: argmin_j(theta_j - g_j) with
+max-stable Gumbel g equals argmax_j(g_j - theta_j), which selects label j
+with probability exp(-theta_j) / sum_j' exp(-theta_j') exactly.  (Adding
+a max-stable draw and arg-minimising does not reproduce that softmax; the
+bias is measurable for three or more labels.)
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -22,80 +31,52 @@ from .model import DenseCrfModel
 
 EULER_GAMMA = 0.5772156649015329
 _UNIFORM_CLAMP = 1e-15
+_WORDS_PER_STEP = 4  # Philox4x64 yields four 64-bit words per counter step
 
 
-def _gumbel_transform(u: np.ndarray, euler_shift: bool) -> np.ndarray:
-    u = np.clip(u, _UNIFORM_CLAMP, 1.0 - _UNIFORM_CLAMP)
-    g = -np.log(-np.log(u))
-    return g - EULER_GAMMA if euler_shift else g
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is an integer in [0, 2**64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-class GumbelSampler:
-    """Deterministic Gumbel noise stream seeded by a 64-bit integer."""
-
-    def __init__(self, seed: int, euler_shift: bool = True):
-        self.seed = int(seed)
-        self.euler_shift = bool(euler_shift)
-        self._rng = np.random.default_rng(self.seed)
-
-    def field(self, shape) -> np.ndarray:
-        """Next i.i.d. Gumbel draws of the given shape from the stream."""
-        return _gumbel_transform(self._rng.random(shape), self.euler_shift)
-
-    def uniform(self, shape) -> np.ndarray:
-        """Next standard-uniform draws from the stream."""
-        return self._rng.random(shape)
+def _uniforms(seed: int, start: int, stop: int, shape) -> np.ndarray:
+    """Standard uniforms of draws [start, stop) of a seed, one row a draw;
+    the result has shape (stop - start, *shape)."""
+    shape = tuple(shape) if np.iterable(shape) else (int(shape),)
+    size = math.prod(shape)
+    blocks = -(-size // _WORDS_PER_STEP)
+    bits = np.random.Philox(key=int(seed), counter=int(start) * blocks)
+    words = np.random.Generator(bits).random(
+        (stop - start, _WORDS_PER_STEP * blocks))
+    return words[:, :size].reshape((stop - start, *shape))
 
 
-class ZeroNoiseSampler:
-    """Degenerate sampler emitting all zeros; useful for identity checks."""
-
-    euler_shift = False
-
-    def field(self, shape) -> np.ndarray:
-        return np.zeros(shape)
-
-    def uniform(self, shape) -> np.ndarray:
-        return np.full(shape, 0.5)
+def _noise(seed: int, start: int, stop: int, shape) -> np.ndarray:
+    """Zero-mean Gumbel draws [start, stop) of a seed, (stop - start, *shape)."""
+    u = np.clip(_uniforms(seed, start, stop, shape),
+                _UNIFORM_CLAMP, 1.0 - _UNIFORM_CLAMP)
+    return -np.log(-np.log(u)) - EULER_GAMMA
 
 
-def sample_gumbel(sampler: GumbelSampler, count: int) -> np.ndarray:
-    """Vector of ``count`` i.i.d. Gumbel draws from the sampler's stream."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return sampler.field(count)
+def iteration_noise(seed: int, t: int, shape) -> np.ndarray:
+    """Gumbel noise field of sampling iteration t: draw t of the seed.
 
-
-def iteration_noise(seed: int, t: int, shape, euler_shift: bool = True) -> np.ndarray:
-    """Gumbel noise field for sampling iteration t, derived from (seed, t).
-
-    Streams for distinct iterations are independent, so iterations can run
-    in any order (or concurrently) and still reproduce bit-identically.
+    Every draw has its own counter block, so iterations can run in any
+    order or batching and still reproduce bit-identically.
     """
-    rng = np.random.default_rng([int(seed), int(t)])
-    return _gumbel_transform(rng.random(shape), euler_shift)
+    return _noise(seed, t, t + 1, shape)[0]
 
 
-def perturb_unaries(model: DenseCrfModel, sampler) -> DenseCrfModel:
-    """Model with unaries perturbed by an i.i.d. Gumbel field; input unchanged."""
-    noise = sampler.field((model.n_voxels, model.n_labels))
-    return model.with_unary(model.unary - noise)
-
-
-def gumbel_max_select(theta: np.ndarray, sampler) -> int:
-    """Sample a label index from softmax(-theta) via Gumbel perturbation."""
+def gumbel_max_select_many(theta: np.ndarray, seed: int,
+                           count: int) -> np.ndarray:
+    """Sample ``count`` label indices from softmax(-theta) via Gumbel
+    perturbation; draw t is the seed's noise for iteration t."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be a finite 1-d vector")
-    g = sampler.field(theta.shape)
-    return int(np.argmin(theta - g))
-
-
-def gumbel_max_select_many(theta: np.ndarray, sampler, count: int) -> np.ndarray:
-    """Vector of ``count`` independent gumbel_max_select draws."""
-    theta = np.asarray(theta, dtype=np.float64)
-    g = sampler.field((count, theta.shape[0]))
-    return np.argmin(theta[None, :] - g, axis=1)
+    return np.argmin(theta[None, :] - _noise(seed, 0, count, theta.shape),
+                     axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,11 +84,11 @@ class SamplingConfig:
     n_samples: int
     seed: int = 0
     inference: InferenceConfig = dataclasses.field(default_factory=InferenceConfig)
-    euler_shift: bool = True
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,17 +122,15 @@ def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
                     batch_size: int = 2048) -> SampleSet:
     """Draw approximate Gibbs samples: perturb unaries, mean-field, decode.
 
-    Iteration t uses the noise stream derived from (cfg.seed, t), so the
-    result is reproducible bit-for-bit regardless of batching.
+    Iteration t uses draw t of cfg.seed, so the result is reproducible
+    bit-for-bit regardless of batching.
     """
     passer = _MessagePasser(model, cfg.inference.backend)
     n, m = model.n_voxels, model.n_labels
     out = np.empty((cfg.n_samples, n), dtype=np.int64)
     for start in range(0, cfg.n_samples, batch_size):
         stop = min(start + batch_size, cfg.n_samples)
-        noise = np.stack([
-            iteration_noise(cfg.seed, t, (n, m), cfg.euler_shift)
-            for t in range(start, stop)])
+        noise = _noise(cfg.seed, start, stop, (n, m))
         q = _infer_batched(model, model.unary[None] - noise,
                            cfg.inference, passer)[0]
         out[start:stop] = mpm_decode(q)

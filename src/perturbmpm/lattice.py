@@ -10,13 +10,13 @@ per value channel instead of O(N^2).
 
 Two departures from the textbook single-pass scheme, both for accuracy:
 
-* The blur stage runs ``n_blur`` passes of a [1, 2, 1]/4 kernel along each
-  lattice direction, with features pre-scaled by sqrt(0.125 + 0.75 * n_blur)
+* The blur stage runs ``N_BLUR`` passes of a [1, 2, 1]/4 kernel along each
+  lattice direction, with features pre-scaled by sqrt(0.125 + 0.75 * N_BLUR)
   so the effective bandwidth stays at 1.  More passes give a more Gaussian
-  profile; the lattice vertex set is expanded by n_blur - 1 neighbour rings
+  profile; the lattice vertex set is expanded by N_BLUR - 1 neighbour rings
   so blurred mass is not truncated.
 * The pipeline's global gain is arbitrary, so it is calibrated once at
-  construction against exact Gaussian row masses at a few probe points.
+  construction against exact Gaussian row masses at N_PROBES probe points.
   Filter outputs are then directly comparable to the brute-force kernel sum.
 """
 from __future__ import annotations
@@ -27,25 +27,22 @@ import numpy as np
 # in lattice units (measured from the filter's impulse response).
 _SPLAT_VARIANCE = 0.125
 _BLUR_VARIANCE = 0.75
+N_BLUR = 12
+N_PROBES = 32
 
 
 class PermutohedralLattice:
     """Splat/blur/slice Gaussian filter over a fixed point set."""
 
-    def __init__(self, features: np.ndarray, n_blur: int = 12,
-                 calibrate: bool = True, n_probes: int = 32):
+    def __init__(self, features: np.ndarray):
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be an (N, d) array")
-        if n_blur < 1:
-            raise ValueError("n_blur must be >= 1")
         self.n_points, self.d = features.shape
-        self.n_blur = n_blur
-        scale = np.sqrt(_SPLAT_VARIANCE + _BLUR_VARIANCE * n_blur)
+        scale = np.sqrt(_SPLAT_VARIANCE + _BLUR_VARIANCE * N_BLUR)
         self._build(features * scale)
-        self.gain = 1.0
-        if calibrate:
-            self.gain = self._calibrate(features, n_probes)
+        self.gain = 1.0  # _calibrate measures the uncalibrated filter
+        self.gain = self._calibrate(features)
 
     # -- construction -----------------------------------------------------
 
@@ -108,7 +105,7 @@ class PermutohedralLattice:
             if axis < d:
                 off[axis] = -d
             offsets.append(off)
-        margin = (self.n_blur + 1) * d
+        margin = (N_BLUR + 1) * d
         lo = flat_keys.min(axis=0) - margin
         span = flat_keys.max(axis=0) + margin + 1 - lo
         if np.prod(span, dtype=np.float64) > 2 ** 62:
@@ -122,7 +119,7 @@ class PermutohedralLattice:
         codes = (flat_keys - lo) @ strides
         uniq = np.unique(codes)
         # Grow the vertex set so multi-pass blur does not truncate mass.
-        for _ in range(self.n_blur - 1):
+        for _ in range(N_BLUR - 1):
             grown = np.concatenate(
                 [uniq] + [uniq + c for c in off_codes]
                 + [uniq - c for c in off_codes])
@@ -158,7 +155,7 @@ class PermutohedralLattice:
         contrib = (self.barycentric[:, :, None] * vals[:, None, :]).reshape(-1, c)
         np.add.at(lattice, self.vertex_index.ravel(), contrib)
 
-        for _ in range(self.n_blur):
+        for _ in range(N_BLUR):
             for axis in range(self.d + 1):
                 n1 = lattice[self.neighbours[axis, 0]]
                 n2 = lattice[self.neighbours[axis, 1]]
@@ -172,12 +169,12 @@ class PermutohedralLattice:
 
     # -- calibration ------------------------------------------------------
 
-    def _calibrate(self, features: np.ndarray, n_probes: int) -> float:
+    def _calibrate(self, features: np.ndarray) -> float:
         """Match the filter's global gain to exact Gaussian row masses."""
         raw = self.filter(np.ones(self.n_points))
         probes = np.unique(
             np.linspace(0, self.n_points - 1,
-                        min(n_probes, self.n_points)).astype(int))
+                        min(N_PROBES, self.n_points)).astype(int))
         sq = ((features[probes, None, :] - features[None, :, :]) ** 2).sum(axis=2)
         exact_mass = np.exp(-0.5 * sq).sum(axis=1)
         return float(np.median(exact_mass / raw[probes]))

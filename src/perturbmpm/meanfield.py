@@ -30,6 +30,10 @@ BACKENDS = ("exact", "lattice")
 # bandwidths apart) are set to zero: each moves a message by less than
 # 1e-307, and subnormal operands slow BLAS down several-fold.
 _TINY = np.finfo(np.float64).tiny
+# Samples stacked into the channels of one lattice filter call.  The
+# filter's working set grows with its channel count (about 2.5 MiB a
+# sample on a 64x64 3-label grid), so batches are filtered in slices.
+_FILTER_SAMPLES = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,30 +60,20 @@ def _init_batched(unaries: np.ndarray) -> np.ndarray:
     return softmax(-unaries, axis=-1)
 
 
-def message_pass_lattice(model: DenseCrfModel, q: np.ndarray,
-                         kernel: GaussianKernel,
-                         lattice: PermutohedralLattice | None = None) -> np.ndarray:
-    """Lattice-filtered Potts messages; approximates the exact backend.
-
-    The filter includes each voxel's self-term k(i, i) = weight, which is
-    subtracted afterwards to honour the j != i sum.
-    """
-    if lattice is None:
-        lattice = PermutohedralLattice(kernel.scaled_features())
-    filtered = _lattice_apply(lattice, q)
-    mass = kernel.weight * lattice.filter(np.ones(model.n_voxels))
-    neigh = kernel.weight * filtered - kernel.weight * q
-    return (mass - kernel.weight)[..., :, None] - neigh
-
-
 def _lattice_apply(lattice: PermutohedralLattice, q: np.ndarray) -> np.ndarray:
-    """Filter marginals of shape (N, m) or (T, N, m), channel-wise."""
+    """Filter marginals of shape (N, m) or (T, N, m), channel-wise, at most
+    _FILTER_SAMPLES samples per filter call."""
     if q.ndim == 2:
         return lattice.filter(q)
     t, n, m = q.shape
-    stacked = np.ascontiguousarray(q.transpose(1, 0, 2)).reshape(n, t * m)
-    out = lattice.filter(stacked)
-    return out.reshape(n, t, m).transpose(1, 0, 2)
+    parts = []
+    for start in range(0, t, _FILTER_SAMPLES):
+        part = q[start:start + _FILTER_SAMPLES]
+        k = len(part)
+        stacked = np.ascontiguousarray(part.transpose(1, 0, 2)).reshape(n, k * m)
+        parts.append(lattice.filter(stacked).reshape(n, k, m).transpose(1, 0, 2))
+    # one slice is returned as a view, so it costs no copy
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _grid_factors(dims: tuple[int, ...],

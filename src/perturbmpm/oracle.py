@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import CapacityError, ModelShapeError
-from .gumbel import perturb_unaries
+from .gumbel import _noise, _uniforms
 from .model import DenseCrfModel, pairwise_matrix
 
 MAX_ENUM_STATES = 2 ** 24
@@ -109,27 +109,21 @@ def exact_map(model: DenseCrfModel) -> np.ndarray:
                            model.n_voxels, model.n_labels)
 
 
-def exact_gibbs_sample(dist: ExactDistribution, sampler) -> np.ndarray:
-    """One exact Gibbs draw via inverse CDF over the enumerated table."""
-    return exact_gibbs_sample_many(dist, sampler, 1)[0]
-
-
-def exact_gibbs_sample_many(dist: ExactDistribution, sampler,
+def exact_gibbs_sample_many(dist: ExactDistribution, seed: int,
                             count: int) -> np.ndarray:
+    """Exact Gibbs draws via inverse CDF over the enumerated table; draw t
+    takes its uniform from the seed's counter block t."""
     cdf = np.cumsum(dist.probabilities)
-    u = sampler.uniform(count)
+    u = _uniforms(seed, 0, count, ())
     codes = np.searchsorted(cdf, u, side="right")
     codes = np.minimum(codes, len(cdf) - 1)
     return decode_labeling(codes, dist.n_voxels, dist.n_labels)
 
 
-def perturb_and_map_full_order(model: DenseCrfModel, sampler) -> np.ndarray:
-    """Exact Gibbs sample: perturb every labeling's energy, take the argmin."""
-    return perturb_and_map_full_order_many(model, sampler, 1)[0]
-
-
-def perturb_and_map_full_order_many(model: DenseCrfModel, sampler,
+def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
                                     count: int) -> np.ndarray:
+    """Exact Gibbs draws: perturb every labeling's energy with draw t of
+    the seed, take the argmin."""
     total = n_states(model)
     if total > MAX_PERTURB_STATES:
         raise CapacityError(
@@ -140,25 +134,18 @@ def perturb_and_map_full_order_many(model: DenseCrfModel, sampler,
     chunk = max(1, _CHUNK // total)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        g = sampler.field((stop - start, total))
+        g = _noise(seed, start, stop, (total,))
         codes[start:stop] = np.argmin(energies[None, :] - g, axis=1)
     return decode_labeling(codes, model.n_voxels, model.n_labels)
 
 
-def perturb_and_map_order1(model: DenseCrfModel, sampler) -> np.ndarray:
-    """Order-1 perturbed MAP: perturb unaries only, then exact MAP."""
-    return exact_map(perturb_unaries(model, sampler))
+def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,
+                                count: int) -> np.ndarray:
+    """Order-1 perturbed MAP draws: perturb unaries only, then exact MAP.
 
-
-def perturb_and_map_order1_many(model: DenseCrfModel, seed: int, count: int,
-                                euler_shift: bool = True) -> np.ndarray:
-    """Order-1 perturbed MAP draws using the per-iteration noise streams.
-
-    Sample t uses iteration_noise(seed, t), so a perturb_and_mpm run with
-    the same seed sees exactly the same perturbations (paired decodes).
+    Sample t uses draw t of the seed, so a perturb_and_mpm run with the
+    same seed sees exactly the same perturbations (paired decodes).
     """
-    from .gumbel import iteration_noise
-
     total = n_states(model)
     if total > MAX_ENUM_STATES:
         raise CapacityError(
@@ -177,9 +164,7 @@ def perturb_and_map_order1_many(model: DenseCrfModel, seed: int, count: int,
     chunk = max(1, _CHUNK // total)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        noise = np.stack([iteration_noise(seed, t, (n, m), euler_shift)
-                          for t in range(start, stop)])
-        perturbed = model.unary[None] - noise
+        perturbed = model.unary[None] - _noise(seed, start, stop, (n, m))
         e = np.broadcast_to(base_pair, (stop - start, total)).copy()
         for i in range(n):
             e += perturbed[:, i, states[:, i]]

@@ -14,6 +14,7 @@ Round trips are bitwise exact.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -25,6 +26,7 @@ MAGIC = b"PMPM"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<u4")}
 _DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<u4"): 1}
+_U32_MAX = 2 ** 32 - 1
 
 
 def write_tensor(path, array: np.ndarray) -> None:
@@ -33,6 +35,10 @@ def write_tensor(path, array: np.ndarray) -> None:
     if arr.dtype == np.float64:
         arr = arr.astype("<f8", copy=False)
     elif arr.dtype in (np.uint32, np.int64, np.int32):
+        if arr.size and (arr.min() < 0 or arr.max() > _U32_MAX):
+            raise FormatError(
+                f"integer values must lie in [0, {_U32_MAX}] to be stored "
+                f"as uint32, got [{arr.min()}, {arr.max()}]")
         arr = arr.astype("<u4")
     code = _DTYPE_CODES.get(arr.dtype)
     if code is None:
@@ -59,12 +65,15 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated tensor header")
     dims = struct.unpack_from(f"<{rank}Q", data, 12)
     dtype = _DTYPES[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     payload = data[header_end:]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    except ValueError as exc:  # too many dimensions, or one too large
+        raise FormatError(f"{path}: unsupported tensor shape: {exc}") from exc
 
 
 def read_tensor_expect(path, rank: int | None = None,
@@ -115,6 +124,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         raise FormatError(
             f"{path}: unsupported PGM variant {fields[0].decode(errors='replace')} "
             "(only binary P5 is supported)")
+    if not all(f.isdigit() for f in fields[1:4]):
+        raise FormatError(
+            f"{path}: PGM width, height and max value must be non-negative "
+            "integers")
     width, height, max_val = (int(f) for f in fields[1:4])
     if not 0 < max_val <= 255:
         raise FormatError(f"{path}: unsupported max value {max_val}")
@@ -145,32 +158,12 @@ def write_marginals_csv(path, marginals: np.ndarray) -> None:
                 writer.writerow([i, l, repr(float(p))])
 
 
-def write_histogram_csv(path, counts: np.ndarray) -> None:
-    """Per-voxel label counts, one row per voxel."""
-    counts = np.asarray(counts)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voxel"] + [f"count_label_{l}"
-                                     for l in range(counts.shape[1])])
-        for i, row in enumerate(counts):
-            writer.writerow([i] + [int(c) for c in row])
-
-
 def write_uncertainty_csv(path, entropy: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["voxel", "entropy_bits"])
         for i, h in enumerate(np.asarray(entropy)):
             writer.writerow([i, repr(float(h))])
-
-
-def write_distribution_csv(path, dist) -> None:
-    """ExactDistribution rows (labeling code, energy, probability)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["labeling_code", "energy", "probability"])
-        for code, (e, p) in enumerate(zip(dist.energies, dist.probabilities)):
-            writer.writerow([code, repr(float(e)), repr(float(p))])
 
 
 def write_error_curve_csv(path, curve) -> None:

@@ -23,7 +23,7 @@ def test_01_gumbel_max_fidelity():
     target = np.array([0.6, 0.3, 0.1])
     theta = -np.log(target)
     t0 = time.time()
-    draws = pm.gumbel_max_select_many(theta, pm.GumbelSampler(0), 10 ** 6)
+    draws = pm.gumbel_max_select_many(theta, 0, 10 ** 6)
     elapsed = time.time() - t0
     freqs = np.bincount(draws, minlength=3) / len(draws)
     dev = np.abs(freqs - target).max()
@@ -41,7 +41,7 @@ def test_02_full_order_perturbation_exact():
     exact = pm.exact_marginals(pm.enumerate_gibbs(model))
     t0 = time.time()
     draws = pm.perturb_and_map_full_order_many(
-        model, pm.GumbelSampler(0), 10 ** 5)
+        model, 0, 10 ** 5)
     elapsed = time.time() - t0
     emp = pm.empirical_marginals(pm.SampleSet(draws, 2))
     tv = pm.voxelwise_total_variation(emp, exact).max()

@@ -136,9 +136,7 @@ def test_synth_experiment_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_biomarker_command(tmp_path):
-    n = 12
-    rng = np.random.default_rng(0)
+def write_biomarker_inputs(tmp_path, n=12):
     for tag, n_tumor in (("pre", 8), ("post", 3)):
         p1 = np.where(np.arange(n) < n_tumor, 1.0 - 1e-9, 1e-9)
         probs = np.stack([1 - p1, p1], axis=1)
@@ -147,14 +145,53 @@ def test_biomarker_command(tmp_path):
             f"dims = {n}\nlabels = 2\nunary = {tag}_u.pmt\nsamples = 50\n")
         truth = (np.arange(n) < n_tumor).astype(np.uint32)
         write_tensor(tmp_path / f"{tag}_truth.pmt", truth)
+    return ["biomarker",
+            "--pre-model", str(tmp_path / "pre.cfg"),
+            "--post-model", str(tmp_path / "post.cfg"),
+            "--truth-pre", str(tmp_path / "pre_truth.pmt"),
+            "--truth-post", str(tmp_path / "post_truth.pmt")]
+
+
+def test_biomarker_command(tmp_path):
     out = tmp_path / "report.csv"
-    assert main(["biomarker",
-                 "--pre-model", str(tmp_path / "pre.cfg"),
-                 "--post-model", str(tmp_path / "post.cfg"),
-                 "--truth-pre", str(tmp_path / "pre_truth.pmt"),
-                 "--truth-post", str(tmp_path / "post_truth.pmt"),
-                 "--out", str(out)]) == 0
+    assert main(write_biomarker_inputs(tmp_path) + ["--out", str(out)]) == 0
     header, row = out.read_text().splitlines()
     assert "eor_corrected" in header
     values = dict(zip(header.split(","), row.split(",")))
     assert float(values["truth_eor"]) == pytest.approx((8 - 3) / 8)
+
+
+def test_biomarker_rejects_differing_sampling_settings(tmp_path, capsys):
+    argv = write_biomarker_inputs(tmp_path)
+    post = tmp_path / "post.cfg"
+    post.write_text(post.read_text()
+                    + "seed = 4\nbackend = lattice\nthreshold = 0.5\n")
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "seed, backend, threshold" in err
+    assert not (tmp_path / "r.csv").exists()
+    # a command-line override applies to both models alike
+    post.write_text(post.read_text().replace("seed = 4\n", ""))
+    assert main(argv + ["--backend", "exact", "--out",
+                        str(tmp_path / "r.csv")]) == 2
+    assert "differ in threshold" in capsys.readouterr().err
+
+
+def test_biomarker_rejects_truth_of_wrong_size(tmp_path, capsys):
+    argv = write_biomarker_inputs(tmp_path)
+    write_tensor(tmp_path / "post_truth.pmt", np.zeros(13, dtype=np.uint32))
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+    assert "post_truth.pmt: truth has 13 voxels" in capsys.readouterr().err
+
+
+def test_seed_flag_outside_philox_keys_is_data_error(model_cfg, tmp_path,
+                                                      capsys):
+    out = str(tmp_path / "s.pmt")
+    for argv in (["sample", "--model", str(model_cfg), "--out", out],
+                 ["oracle-check", "--n", "3", "--samples", "10"],
+                 ["synth-experiment", "--out", out, "--grids", "3",
+                  "--samples", "5", "--inits", "1"]):
+        for seed in ("-3", str(2 ** 64)):
+            assert main(argv + ["--seed", seed]) == 2
+            assert "seed must be an integer in [0, 2**64)" in \
+                capsys.readouterr().err

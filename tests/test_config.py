@@ -146,3 +146,21 @@ def test_echo_round_trips(tmp_path):
     assert again.kernels == cfg.kernels
     assert again.seed == cfg.seed
     assert again.n_samples == cfg.n_samples
+
+
+def test_seed_outside_philox_keys_is_located(tmp_path):
+    for seed in ("-3", str(2 ** 64)):
+        path = write_cfg(tmp_path, f"dims = 4\nlabels = 2\nseed = {seed}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value).startswith(f"{path}:3: seed: ")
+    path = write_cfg(tmp_path, f"dims = 4\nlabels = 2\nseed = {2 ** 64 - 1}\n")
+    assert parse_config(path).seed == 2 ** 64 - 1
+
+
+def test_non_finite_numbers_are_rejected(tmp_path):
+    for line in ("tol = nan", "threshold = inf", "kernel = 1.0 nan",
+                 "kernel = 1e400 1.0"):
+        path = write_cfg(tmp_path, f"dims = 4\nlabels = 2\n{line}\n")
+        with pytest.raises(ConfigError, match=":3: .*finite"):
+            parse_config(path)

@@ -34,17 +34,6 @@ def test_synthetic_experiment_tiny():
         curve.row(4, 999)
 
 
-def test_synthetic_experiment_modes_agree_on_sampled_grid():
-    base = dict(grid_sizes=(4,), sample_counts=(100,), n_inits=2)
-    nested = run_synthetic_experiment(
-        SyntheticExperimentConfig(**base, nested_prefixes=True))
-    independent = run_synthetic_experiment(
-        SyntheticExperimentConfig(**base, nested_prefixes=False))
-    # different noise streams, same scale of error
-    assert abs(nested.rows[0].sampled_error
-               - independent.rows[0].sampled_error) < 0.1
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SyntheticExperimentConfig(grid_sizes=())

@@ -1,33 +1,24 @@
 import numpy as np
 import pytest
 
-from perturbmpm import (EULER_GAMMA, GumbelSampler, ModelShapeError,
-                        SampleSet, SamplingConfig, ZeroNoiseSampler,
-                        build_grid_model, empirical_marginals,
-                        gumbel_max_select, gumbel_max_select_many,
-                        iteration_noise, mean_field_infer, mpm_decode,
-                        perturb_and_mpm, perturb_unaries, sample_gumbel)
+from perturbmpm import (EULER_GAMMA, ModelShapeError, SampleSet,
+                        SamplingConfig, build_grid_model, empirical_marginals,
+                        gumbel_max_select_many, iteration_noise,
+                        mean_field_infer, mpm_decode, perturb_and_mpm)
 
 
 def test_gumbel_moments():
-    sampler = GumbelSampler(0)
-    g = sample_gumbel(sampler, 200_000)
+    g = iteration_noise(0, 0, 200_000)
     # shifted draws have mean 0 and variance pi^2 / 6
     assert abs(g.mean()) < 0.01
     assert abs(g.var() - np.pi ** 2 / 6.0) < 0.02
 
 
-def test_unshifted_mean_is_euler_gamma():
-    sampler = GumbelSampler(0, euler_shift=False)
-    g = sample_gumbel(sampler, 200_000)
-    assert abs(g.mean() - EULER_GAMMA) < 0.01
-
-
 def test_sampler_reproducible():
-    a = GumbelSampler(42).field((3, 4))
-    b = GumbelSampler(42).field((3, 4))
+    a = iteration_noise(42, 0, (3, 4))
+    b = iteration_noise(42, 0, (3, 4))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, GumbelSampler(43).field((3, 4)))
+    assert not np.array_equal(a, iteration_noise(43, 0, (3, 4)))
 
 
 def test_iteration_noise_streams_independent_of_order():
@@ -42,36 +33,29 @@ def test_iteration_noise_streams_independent_of_order():
 
 def test_select_matches_softmax():
     theta = -np.log(np.array([0.6, 0.3, 0.1]))
-    draws = gumbel_max_select_many(theta, GumbelSampler(1), 100_000)
+    draws = gumbel_max_select_many(theta, 1, 100_000)
     freqs = np.bincount(draws, minlength=3) / len(draws)
     assert np.abs(freqs - [0.6, 0.3, 0.1]).max() < 0.01
 
 
 def test_select_single_draw_range():
     theta = np.array([0.5, 0.1])
-    labels = {gumbel_max_select(theta, GumbelSampler(s)) for s in range(20)}
+    labels = {gumbel_max_select_many(theta, s, 1)[0] for s in range(20)}
     assert labels <= {0, 1}
     assert len(labels) == 2
 
 
 def test_select_rejects_bad_theta():
     with pytest.raises(ValueError):
-        gumbel_max_select(np.array([[1.0, 2.0]]), GumbelSampler(0))
+        gumbel_max_select_many(np.array([[1.0, 2.0]]), 0, 1)
     with pytest.raises(ValueError):
-        gumbel_max_select(np.array([np.nan, 0.0]), GumbelSampler(0))
-
-
-def test_zero_noise_perturbation_is_identity():
-    model = build_grid_model((3,), 2, np.random.default_rng(0).random((3, 2)),
-                             [(1.0, 1.0)])
-    perturbed = perturb_unaries(model, ZeroNoiseSampler())
-    assert np.array_equal(perturbed.unary, model.unary)
+        gumbel_max_select_many(np.array([np.nan, 0.0]), 0, 1)
 
 
 def test_perturb_unaries_leaves_input_unchanged():
     unary = np.random.default_rng(1).random((4, 3))
     model = build_grid_model((4,), 3, unary)
-    perturbed = perturb_unaries(model, GumbelSampler(5))
+    perturbed = model.with_unary(model.unary - iteration_noise(5, 0, (4, 3)))
     assert np.array_equal(model.unary, unary)
     assert not np.array_equal(perturbed.unary, unary)
 
@@ -124,3 +108,39 @@ def test_empirical_marginals_counts():
 def test_sampling_config_validation():
     with pytest.raises(ValueError):
         SamplingConfig(0)
+
+
+def test_sampling_config_rejects_seeds_outside_philox_keys():
+    SamplingConfig(1, seed=2 ** 64 - 1)
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            SamplingConfig(1, seed=seed)
+
+
+def test_draw_t_is_philox_counter_block_t():
+    # 3 x 3 = 9 uniforms take ceil(9 / 4) = 3 counter steps of four words
+    words = np.random.Generator(np.random.Philox(key=5)).random(4 * 3 * 4)
+    for t in range(4):
+        u = words[12 * t:12 * t + 9].reshape(3, 3)
+        expected = -np.log(-np.log(u)) - EULER_GAMMA
+        assert np.array_equal(iteration_noise(5, t, (3, 3)), expected)
+
+
+def test_iteration_noise_is_the_samplers_noise():
+    from perturbmpm.gumbel import _noise
+
+    block = _noise(13, 0, 50, (5, 3))
+    for t in (0, 1, 17, 49):
+        assert np.array_equal(iteration_noise(13, t, (5, 3)), block[t])
+    assert np.array_equal(_noise(13, 17, 50, (5, 3)), block[17:])
+
+
+def test_perturb_and_mpm_bitwise_across_batch_sizes():
+    model = build_grid_model((2, 3), 3,
+                             np.random.default_rng(5).random((6, 3)),
+                             [(1.0, 1.0)])
+    cfg = SamplingConfig(2100, seed=21)
+    reference = perturb_and_mpm(model, cfg).labels
+    for batch_size in (1, 7, 700):
+        run = perturb_and_mpm(model, cfg, batch_size=batch_size)
+        assert np.array_equal(run.labels, reference)

@@ -115,3 +115,20 @@ def test_manifest_deterministic(tmp_path):
     assert "sample" in first
     write_manifest(out, "sample", "seed = 1\nsamples = 2", "1.0.0")
     assert (tmp_path / "x.pmt.manifest.txt").read_text() == first
+
+
+def test_tensor_rejects_integers_outside_u32(tmp_path):
+    for values in ([-1], [2 ** 32 + 3], [0, 2 ** 32]):
+        with pytest.raises(FormatError):
+            write_tensor(tmp_path / "t.pmt", np.array(values, dtype=np.int64))
+    write_tensor(tmp_path / "t.pmt", np.array([0, 2 ** 32 - 1]))
+    assert read_tensor(tmp_path / "t.pmt").tolist() == [0, 2 ** 32 - 1]
+
+
+def test_pgm_rejects_non_integer_header_fields(tmp_path):
+    path = tmp_path / "bad.pgm"
+    for header in (b"P5\nab 2\n255\n", b"P5\n-2 -1\n255\n",
+                   b"P5\n2 2\n2.5\n", b"P5\n+2 2\n255\n"):
+        path.write_bytes(header + bytes(4))
+        with pytest.raises(FormatError):
+            read_pgm(path)

@@ -3,11 +3,12 @@ import pytest
 from scipy.special import softmax
 
 from perturbmpm import (DenseCrfModel, GaussianKernel, InferenceConfig,
-                        ModelShapeError, build_grid_model,
-                        check_marginal_field, grid_coordinates,
-                        mean_field_infer, mean_field_init, mean_field_step,
-                        mpm_decode)
-from perturbmpm.meanfield import _infer_batched, _MessagePasser
+                        ModelShapeError, PermutohedralLattice, SamplingConfig,
+                        build_grid_model, check_marginal_field,
+                        grid_coordinates, mean_field_infer, mean_field_init,
+                        mean_field_step, mpm_decode, perturb_and_mpm)
+from perturbmpm.meanfield import _FILTER_SAMPLES, _infer_batched, \
+    _MessagePasser
 
 
 def grid_model(n=4, weight=1.0, seed=0):
@@ -204,3 +205,31 @@ def test_inference_config_validation():
         InferenceConfig(convergence_tol=-1.0)
     with pytest.raises(ValueError):
         InferenceConfig(backend="magic")
+
+
+def lattice_sampling_model():
+    unary = np.random.default_rng(3).random((12, 3))
+    return build_grid_model((3, 4), 3, unary, [(1.0, 1.5)])
+
+
+def test_lattice_filter_calls_hold_at_most_filter_samples(monkeypatch):
+    channels = []
+    original = PermutohedralLattice.filter
+
+    def recording(self, values):
+        channels.append(1 if values.ndim == 1 else values.shape[1])
+        return original(self, values)
+
+    monkeypatch.setattr(PermutohedralLattice, "filter", recording)
+    perturb_and_mpm(lattice_sampling_model(), SamplingConfig(
+        100, seed=2, inference=InferenceConfig(backend="lattice")))
+    assert max(channels) == _FILTER_SAMPLES * 3
+
+
+def test_lattice_sampling_bitwise_across_batch_sizes():
+    model = lattice_sampling_model()
+    cfg = SamplingConfig(100, seed=2,
+                         inference=InferenceConfig(backend="lattice"))
+    whole = perturb_and_mpm(model, cfg, batch_size=2048)
+    assert np.array_equal(whole.labels,
+                          perturb_and_mpm(model, cfg, batch_size=7).labels)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
-from perturbmpm import (CapacityError, DenseCrfModel, GumbelSampler,
+from perturbmpm import (CapacityError, DenseCrfModel,
                         SampleSet, SamplingConfig, build_grid_model,
                         decode_labeling, empirical_marginals, encode_labeling,
                         energy, enumerate_gibbs, exact_gibbs_sample_many,
@@ -64,7 +64,7 @@ def test_exact_map_minimises_energy():
 def test_exact_gibbs_sampler_matches_marginals():
     model = random_grid_model(5, 4)
     dist = enumerate_gibbs(model)
-    draws = exact_gibbs_sample_many(dist, GumbelSampler(0), 50_000)
+    draws = exact_gibbs_sample_many(dist, 0, 50_000)
     emp = empirical_marginals(SampleSet(draws, 2))
     assert total_variation(emp, exact_marginals(dist)) < 0.01
 
@@ -72,7 +72,7 @@ def test_exact_gibbs_sampler_matches_marginals():
 def test_full_order_perturbation_is_exact_gibbs():
     model = random_grid_model(5, 5)
     dist = enumerate_gibbs(model)
-    draws = perturb_and_map_full_order_many(model, GumbelSampler(1), 50_000)
+    draws = perturb_and_map_full_order_many(model, 1, 50_000)
     emp = empirical_marginals(SampleSet(draws, 2))
     assert total_variation(emp, exact_marginals(dist)) < 0.01
 
@@ -93,7 +93,7 @@ def test_capacity_guards():
         enumerate_gibbs(big)
     mid = DenseCrfModel((21,), 2, np.zeros((21, 2)))
     with pytest.raises(CapacityError):
-        perturb_and_map_full_order_many(mid, GumbelSampler(0), 1)
+        perturb_and_map_full_order_many(mid, 0, 1)
 
 
 def test_kl_non_negative_and_zero_for_exact_product():

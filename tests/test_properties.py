@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from perturbmpm import (DenseCrfModel, GumbelSampler, InferenceConfig,
+from perturbmpm import (DenseCrfModel, InferenceConfig,
                         SampleSet, build_grid_model, empirical_marginals,
                         energy, entropy_error_bound, entropy_map,
                         mean_field_infer, mean_field_init, mean_field_step,
-                        pairwise_matrix, perturb_unaries,
+                        iteration_noise, pairwise_matrix,
                         required_sample_size, total_variation,
                         voxelwise_total_variation)
 
@@ -43,7 +43,8 @@ def test_zero_kernel_step_is_fixed_point(unary):
 @settings(max_examples=25)
 def test_perturbation_preserves_structure(unary, weight, seed):
     model = make_model(unary, weight)
-    perturbed = perturb_unaries(model, GumbelSampler(seed))
+    perturbed = model.with_unary(
+        model.unary - iteration_noise(seed, 0, model.unary.shape))
     assert perturbed.unary.shape == model.unary.shape
     assert perturbed.kernels == model.kernels
     assert np.all(np.isfinite(perturbed.unary))
