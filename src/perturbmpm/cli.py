@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import textwrap
 
 import numpy as np
 
@@ -235,7 +236,13 @@ def _cmd_biomarker(args) -> int:
         _sampling_config(pre_cfg), args.target_label,
         threshold=pre_cfg.threshold)
     write_biomarker_csv(args.out, report)
-    write_manifest(args.out, "biomarker", pre_cfg.echo(), __version__)
+    manifest = []
+    for tag, cfg in (("pre", pre_cfg), ("post", post_cfg)):
+        manifest += [f"{tag}:", textwrap.indent(cfg.echo(), "  ")]
+    manifest += [f"truth_pre = {args.truth_pre}",
+                 f"truth_post = {args.truth_post}",
+                 f"target_label = {args.target_label}"]
+    write_manifest(args.out, "biomarker", "\n".join(manifest), __version__)
     print(f"EOR {report.eor:.4f} (corrected {report.eor_corrected:.4f}, "
           f"truth {report.truth_eor:.4f})")
     print(f"residual volume error {report.rtv_error:.2f} "

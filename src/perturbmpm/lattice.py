@@ -8,13 +8,23 @@ over all points j (including i itself), where features are pre-scaled so the
 Gaussian has unit bandwidth.  The splat/blur/slice scheme runs in O(N * d)
 per value channel instead of O(N^2).
 
+Each stage is a sparse (CSR) matrix built once per lattice: the slice
+S^T (N x L, the d+1 barycentric weights of each point's enclosing
+simplex), the splat S, and one blur matrix 0.5 I + 0.25 (P+ + P-) per
+lattice axis, where a neighbour outside the vertex set is no entry.  A
+filter call is x = S v, N_BLUR rounds of x = B_axis x over the axes, and
+gain * S^T x.  Sparse-times-dense products sum each channel on its own
+in a fixed order, so a column's result does not depend on how many
+columns share the call.
+
 Two departures from the textbook single-pass scheme, both for accuracy:
 
 * The blur stage runs ``N_BLUR`` passes of a [1, 2, 1]/4 kernel along each
   lattice direction, with features pre-scaled by sqrt(0.125 + 0.75 * N_BLUR)
   so the effective bandwidth stays at 1.  More passes give a more Gaussian
   profile; the lattice vertex set is expanded by N_BLUR - 1 neighbour rings
-  so blurred mass is not truncated.
+  (grown breadth-first, one ring at a time) so blurred mass is not
+  truncated.
 * The pipeline's global gain is arbitrary, so it is calibrated once at
   construction against exact Gaussian row masses at N_PROBES probe points.
   Filter outputs are then directly comparable to the brute-force kernel sum.
@@ -47,6 +57,8 @@ class PermutohedralLattice:
     # -- construction -----------------------------------------------------
 
     def _build(self, features: np.ndarray) -> None:
+        from scipy import sparse
+
         n, d = features.shape
         # Rotate/scale onto the hyperplane sum(x) = 0 in d+1 dimensions.
         inv_std = np.sqrt(2.0 / 3.0) * (d + 1)
@@ -86,7 +98,6 @@ class PermutohedralLattice:
             bary[rows, d - rank[:, i]] += delta[:, i]
             bary[rows, d + 1 - rank[:, i]] -= delta[:, i]
         bary[:, 0] += 1.0 + bary[:, d + 1]
-        self.barycentric = bary[:, : d + 1]
 
         # Simplex vertex keys; only the first d coordinates are stored.
         greedy_i = np.rint(greedy).astype(np.int64)
@@ -117,55 +128,42 @@ class PermutohedralLattice:
         off_codes = np.array([off @ strides for off in offsets])
 
         codes = (flat_keys - lo) @ strides
-        uniq = np.unique(codes)
-        # Grow the vertex set so multi-pass blur does not truncate mass.
-        for _ in range(N_BLUR - 1):
-            grown = np.concatenate(
-                [uniq] + [uniq + c for c in off_codes]
-                + [uniq - c for c in off_codes])
-            uniq = np.unique(grown)
+        vertices = _grow(np.unique(codes), off_codes, N_BLUR - 1)
+        n_lattice = self.n_lattice = len(vertices)
 
-        self.n_lattice = len(uniq)
-        self.vertex_index = np.searchsorted(uniq, codes).reshape(n, d + 1)
-
-        # Neighbour tables; missing neighbours index the zero padding row.
-        pad = self.n_lattice
-        self.neighbours = np.empty((d + 1, 2, self.n_lattice), dtype=np.int64)
-        for axis in range(d + 1):
-            for sign, slot in ((1, 0), (-1, 1)):
-                shifted = uniq + sign * off_codes[axis]
-                pos = np.searchsorted(uniq, shifted)
-                clipped = np.minimum(pos, self.n_lattice - 1)
-                found = uniq[clipped] == shifted
-                self.neighbours[axis, slot] = np.where(found, clipped, pad)
+        # Slice: row i holds the barycentric weights of point i's d+1
+        # enclosing simplex vertices; the splat is its transpose.
+        self._slice = sparse.csr_matrix(
+            (bary[:, : d + 1].ravel(), np.searchsorted(vertices, codes),
+             np.arange(0, codes.size + 1, d + 1)), shape=(n, n_lattice))
+        self._splat = self._slice.T.tocsr()
+        # One blur matrix per lattice axis; row j holds 0.5 at j and 0.25
+        # at each of its two neighbours along the axis that exist.
+        self._blur = []
+        for off in off_codes:
+            cols = [np.arange(n_lattice)]
+            for shifted in (vertices + off, vertices - off):
+                pos = np.minimum(np.searchsorted(vertices, shifted), n_lattice - 1)
+                cols.append(np.where(vertices[pos] == shifted, pos, -1))
+            cols = np.stack(cols, axis=1)
+            found = cols >= 0
+            weights = np.broadcast_to([0.5, 0.25, 0.25], cols.shape)[found]
+            indptr = np.concatenate([[0], np.cumsum(found.sum(axis=1))])
+            self._blur.append(sparse.csr_matrix(
+                (weights, cols[found], indptr), shape=(n_lattice, n_lattice)))
 
     # -- filtering --------------------------------------------------------
 
     def filter(self, values: np.ndarray) -> np.ndarray:
         """Gaussian-filter per-point values; accepts (N,) or (N, c)."""
-        squeeze = values.ndim == 1
         vals = np.ascontiguousarray(values, dtype=np.float64)
-        if squeeze:
-            vals = vals[:, None]
         if vals.shape[0] != self.n_points:
             raise ValueError("value count does not match lattice points")
-        c = vals.shape[1]
-
-        lattice = np.zeros((self.n_lattice + 1, c))
-        contrib = (self.barycentric[:, :, None] * vals[:, None, :]).reshape(-1, c)
-        np.add.at(lattice, self.vertex_index.ravel(), contrib)
-
+        lattice = self._splat @ vals
         for _ in range(N_BLUR):
-            for axis in range(self.d + 1):
-                n1 = lattice[self.neighbours[axis, 0]]
-                n2 = lattice[self.neighbours[axis, 1]]
-                lattice[: self.n_lattice] = (
-                    0.5 * lattice[: self.n_lattice] + 0.25 * (n1 + n2))
-                lattice[self.n_lattice] = 0.0
-
-        gathered = lattice[self.vertex_index]
-        out = self.gain * np.einsum("nk,nkc->nc", self.barycentric, gathered)
-        return out[:, 0] if squeeze else out
+            for blur in self._blur:
+                lattice = blur @ lattice
+        return self.gain * (self._slice @ lattice)
 
     # -- calibration ------------------------------------------------------
 
@@ -178,3 +176,21 @@ class PermutohedralLattice:
         sq = ((features[probes, None, :] - features[None, :, :]) ** 2).sum(axis=2)
         exact_mass = np.exp(-0.5 * sq).sum(axis=1)
         return float(np.median(exact_mass / raw[probes]))
+
+
+def _grow(seeds: np.ndarray, off_codes: np.ndarray, rings: int) -> np.ndarray:
+    """Sorted codes of every vertex within `rings` lattice steps of `seeds`.
+
+    Breadth-first: ring k+1 is the unique neighbours of ring k minus rings
+    k and k-1 (a neighbour of a ring-k vertex lies in ring k-1, k or k+1),
+    so each round touches only the newest ring, not the whole set.
+    """
+    steps = np.concatenate([off_codes, -off_codes])
+    grown = [seeds]
+    previous, ring = seeds[:0], seeds
+    for _ in range(rings):
+        nxt = np.unique((ring[:, None] + steps).ravel())
+        nxt = nxt[~np.isin(nxt, ring) & ~np.isin(nxt, previous)]
+        previous, ring = ring, nxt
+        grown.append(ring)
+    return np.sort(np.concatenate(grown))

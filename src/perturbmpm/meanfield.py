@@ -19,7 +19,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import ModelShapeError
 from .lattice import PermutohedralLattice
@@ -51,13 +50,17 @@ class InferenceConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
 
 
+def _softmax_neg(e: np.ndarray) -> np.ndarray:
+    """softmax(-e) over the last axis, shifted by each row's minimum."""
+    out = e.min(axis=-1, keepdims=True) - e
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
 def mean_field_init(model: DenseCrfModel) -> np.ndarray:
     """Initial marginals: per-voxel softmax of negative unaries."""
-    return softmax(-model.unary, axis=1)
-
-
-def _init_batched(unaries: np.ndarray) -> np.ndarray:
-    return softmax(-unaries, axis=-1)
+    return _softmax_neg(model.unary)
 
 
 def _lattice_apply(lattice: PermutohedralLattice, q: np.ndarray) -> np.ndarray:
@@ -190,8 +193,7 @@ def mean_field_step(model: DenseCrfModel, q: np.ndarray, backend: str = "exact",
             f"marginal field shape {q.shape} does not match model")
     if passer is None:
         passer = _MessagePasser(model, backend)
-    e = model.unary + passer.messages(q)
-    return softmax(-e, axis=-1)
+    return _softmax_neg(model.unary + passer.messages(q))
 
 
 def _infer_batched(model: DenseCrfModel, unaries: np.ndarray,
@@ -207,15 +209,21 @@ def _infer_batched(model: DenseCrfModel, unaries: np.ndarray,
     """
     if passer is None:
         passer = _MessagePasser(model, cfg.backend)
-    q = _init_batched(unaries)
+    q = _softmax_neg(unaries)
     t = q.shape[0]
     iterations = np.full(t, cfg.max_iterations, dtype=np.int64)
     active = np.arange(t)
     for it in range(cfg.max_iterations):
-        e = unaries[active] + passer.messages(q[active])
-        q_new = softmax(-e, axis=-1)
-        delta = np.abs(q_new - q[active]).max(axis=(1, 2))
-        q[active] = q_new
+        # while every entry is active, skip the gather and the scatter
+        every = active.size == t
+        q_active = q if every else q[active]
+        u_active = unaries if every else unaries[active]
+        q_new = _softmax_neg(u_active + passer.messages(q_active))
+        delta = np.abs(q_new - q_active).max(axis=(1, 2))
+        if every:
+            q = q_new
+        else:
+            q[active] = q_new
         done = delta < cfg.convergence_tol
         iterations[active[done]] = it + 1
         active = active[~done]

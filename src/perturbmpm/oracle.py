@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapacityError, ModelShapeError
 from .gumbel import _noise, _uniforms
@@ -82,7 +81,12 @@ class ExactDistribution:
 def enumerate_gibbs(model: DenseCrfModel) -> ExactDistribution:
     """Enumerate every labeling and normalise with log-sum-exp."""
     energies = _all_energies(model)
-    log_z = float(logsumexp(-energies))
+    # log Z = log(1 + s) - E_min, where s sums exp(E_min - E) over every
+    # labeling but the (first) minimum-energy one
+    lowest = np.argmin(energies)
+    shifted = np.exp(energies[lowest] - energies)
+    shifted[lowest] = 0.0
+    log_z = float(np.log1p(shifted.sum()) - energies[lowest])
     probabilities = np.exp(-energies - log_z)
     return ExactDistribution(model.n_voxels, model.n_labels, log_z,
                              probabilities, energies)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,6 +164,11 @@ def test_biomarker_command(tmp_path):
     assert "eor_corrected" in header
     values = dict(zip(header.split(","), row.split(",")))
     assert float(values["truth_eor"]) == pytest.approx((8 - 3) / 8)
+    manifest = (tmp_path / "report.csv.manifest.txt").read_text()
+    post = manifest[manifest.index("  post:"):]
+    assert "    unary = post_u.pmt" in post
+    assert str(tmp_path / "pre_truth.pmt") in manifest
+    assert str(tmp_path / "post_truth.pmt") in manifest
 
 
 def test_biomarker_rejects_differing_sampling_settings(tmp_path, capsys):
@@ -195,3 +205,16 @@ def test_seed_flag_outside_philox_keys_is_data_error(model_cfg, tmp_path,
             assert main(argv + ["--seed", seed]) == 2
             assert "seed must be an integer in [0, 2**64)" in \
                 capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"),
+        env.get("PYTHONPATH")]))
+    code = ("import sys, perturbmpm.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

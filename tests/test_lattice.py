@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from perturbmpm import PermutohedralLattice, grid_coordinates
+from perturbmpm import lattice as lattice_module
 
 
 def exact_gauss(features, values):
@@ -61,3 +62,50 @@ def test_rejects_bad_values_shape():
     lattice = PermutohedralLattice(grid_coordinates((3, 3)))
     with pytest.raises(ValueError):
         lattice.filter(np.ones(5))
+
+
+def test_filter_columns_are_independent_bitwise():
+    lattice = PermutohedralLattice(grid_coordinates((20, 24)) / 2.0)
+    values = np.random.default_rng(2).random((480, 96))
+    out = lattice.filter(values)
+    for k in range(96):
+        assert np.array_equal(out[:, k], lattice.filter(values[:, [k]])[:, 0])
+        assert np.array_equal(out[:, k], lattice.filter(values[:, k]))
+
+
+def test_filter_many_channels_matches_exact():
+    feats = grid_coordinates((12, 10)) / 1.5
+    values = np.random.default_rng(3).random((120, 64))
+    got = PermutohedralLattice(feats).filter(values)
+    want = exact_gauss(feats, values)
+    assert np.abs(got - want).max() / np.abs(want).max() < 0.02
+
+
+def grow_all_rings(seeds, off_codes, rings):
+    vertices = seeds
+    for _ in range(rings):
+        vertices = np.unique(np.concatenate(
+            [vertices] + [vertices + c for c in off_codes]
+            + [vertices - c for c in off_codes]))
+    return vertices
+
+
+@pytest.mark.parametrize("features", [
+    grid_coordinates((9, 7)) / 2.0,
+    np.random.default_rng(4).normal(0.0, 2.0, (60, 3)),
+])
+def test_frontier_growth_matches_all_rings_growth(features, monkeypatch):
+    calls = []
+    grow = lattice_module._grow
+
+    def recording_grow(seeds, off_codes, rings):
+        vertices = grow(seeds, off_codes, rings)
+        calls.append((seeds, off_codes, rings, vertices))
+        return vertices
+
+    monkeypatch.setattr(lattice_module, "_grow", recording_grow)
+    lattice = PermutohedralLattice(features)
+    (seeds, off_codes, rings, vertices), = calls
+    assert rings == lattice_module.N_BLUR - 1
+    assert np.array_equal(vertices, grow_all_rings(seeds, off_codes, rings))
+    assert lattice.n_lattice == len(vertices)
