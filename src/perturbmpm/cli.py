@@ -22,7 +22,7 @@ from .evaluation import SyntheticExperimentConfig, run_biomarker_experiment, \
     run_synthetic_experiment
 from .gumbel import SampleSet, SamplingConfig, check_seed, \
     empirical_marginals, perturb_and_mpm
-from .meanfield import _infer_batched, mpm_decode
+from .meanfield import BACKENDS, MeanField, mpm_decode
 from .metrics import entropy_map, required_sample_size, total_variation
 from .oracle import enumerate_gibbs, exact_marginals, \
     perturb_and_map_full_order_many
@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--model", required=True, help="model config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--backend", choices=("exact", "lattice"),
+        p.add_argument("--backend", choices=BACKENDS,
                        default=None, help="override the config backend")
         return p
 
@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--backend", choices=("exact", "lattice"), default=None)
+    p.add_argument("--backend", choices=BACKENDS, default=None)
     p.add_argument("--out", required=True, help="report CSV path")
 
     p = sub.add_parser("oracle-check",
@@ -136,8 +136,8 @@ def _cmd_infer(args) -> int:
     cfg = _resolve(parse_config(args.model), args)
     model = load_model(cfg)
     inference = cfg.inference()
-    q, iterations, converged = _infer_batched(model, model.unary[None],
-                                              inference)
+    q, iterations, converged = MeanField(model, inference).infer(
+        model.unary[None])
     q = q[0]
     write_tensor(args.out, q)
     write_manifest(args.out, "infer", cfg.echo(), __version__)
@@ -200,9 +200,7 @@ def _cmd_synth_experiment(args) -> int:
         n_inits=args.inits, base_seed=args.seed, log_scale=args.log_scale)
     curve = run_synthetic_experiment(cfg)
     write_error_curve_csv(args.out, curve)
-    echo = "\n".join(f"{k} = {v!r}" for k, v in
-                     dataclasses.asdict(cfg).items())
-    write_manifest(args.out, "synth-experiment", echo, __version__)
+    write_manifest(args.out, "synth-experiment", cfg.echo(), __version__)
     for row in curve.rows:
         print(f"N={row.n_voxels:4d} T={row.n_samples:7d} "
               f"sampled={row.sampled_error:.6f} "

@@ -15,6 +15,10 @@ from .model import DenseCrfModel, build_grid_model, unaries_from_probabilities
 from .oracle import enumerate_gibbs, exact_marginals
 
 _LOG_CLAMP = 1e-12
+# The synthetic experiment's chain models and their mean-field settings.
+_KERNEL_WEIGHT = 2.0
+_KERNEL_BANDWIDTH = 1.0
+_INFERENCE = InferenceConfig()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -23,9 +27,6 @@ class SyntheticExperimentConfig:
     sample_counts: tuple[int, ...] = (10, 50, 100, 1000, 10000, 100000, 1000000)
     n_inits: int = 20
     base_seed: int = 0
-    kernel_weight: float = 2.0
-    kernel_bandwidth: float = 1.0
-    inference: InferenceConfig = dataclasses.field(default_factory=InferenceConfig)
     log_scale: bool = False         # compare log-probabilities instead
 
     def __post_init__(self):
@@ -35,6 +36,17 @@ class SyntheticExperimentConfig:
             raise ValueError("sample counts must be positive")
         if self.n_inits < 1:
             raise ValueError("n_inits must be >= 1")
+
+    def echo(self) -> str:
+        """Manifest text: every field, with the fixed model and inference
+        settings listed ahead of log_scale."""
+        fields = dataclasses.asdict(self)
+        log_scale = fields.pop("log_scale")
+        fields.update(kernel_weight=_KERNEL_WEIGHT,
+                      kernel_bandwidth=_KERNEL_BANDWIDTH,
+                      inference=dataclasses.asdict(_INFERENCE),
+                      log_scale=log_scale)
+        return "\n".join(f"{k} = {v!r}" for k, v in fields.items())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,9 +60,6 @@ class ErrorCurveRow:
 @dataclasses.dataclass(frozen=True)
 class ErrorCurve:
     rows: tuple[ErrorCurveRow, ...]
-
-    def for_grid(self, n_voxels: int) -> list[ErrorCurveRow]:
-        return [r for r in self.rows if r.n_voxels == n_voxels]
 
     def row(self, n_voxels: int, n_samples: int) -> ErrorCurveRow:
         for r in self.rows:
@@ -97,13 +106,13 @@ def run_synthetic_experiment(cfg: SyntheticExperimentConfig) -> ErrorCurve:
     for n in cfg.grid_sizes:
         for init in range(cfg.n_inits):
             seed = _experiment_seed(cfg.base_seed, n, init)
-            model = random_grid_model(n, seed, cfg.kernel_weight,
-                                      cfg.kernel_bandwidth)
+            model = random_grid_model(n, seed, _KERNEL_WEIGHT,
+                                      _KERNEL_BANDWIDTH)
             exact = exact_marginals(enumerate_gibbs(model))
-            q, _ = mean_field_infer(model, cfg.inference)
+            q, _ = mean_field_infer(model, _INFERENCE)
             unperturbed[n].append(_l1_error(q, exact, cfg.log_scale))
             run = perturb_and_mpm(model, SamplingConfig(
-                max_count, seed=seed, inference=cfg.inference))
+                max_count, seed=seed, inference=_INFERENCE))
             for s in counts:
                 f_hat = empirical_marginals(run.prefix(s))
                 sampled[n, s].append(_l1_error(f_hat, exact, cfg.log_scale))

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import ModelShapeError
-from .meanfield import InferenceConfig, _infer_batched, _MessagePasser, mpm_decode
+from .meanfield import InferenceConfig, MeanField, mpm_decode
 from .model import DenseCrfModel
 
 EULER_GAMMA = 0.5772156649015329
@@ -125,14 +125,13 @@ def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
     Iteration t uses draw t of cfg.seed, so the result is reproducible
     bit-for-bit regardless of batching.
     """
-    passer = _MessagePasser(model, cfg.inference.backend)
+    solver = MeanField(model, cfg.inference)
     n, m = model.n_voxels, model.n_labels
     out = np.empty((cfg.n_samples, n), dtype=np.int64)
     for start in range(0, cfg.n_samples, batch_size):
         stop = min(start + batch_size, cfg.n_samples)
         noise = _noise(cfg.seed, start, stop, (n, m))
-        q = _infer_batched(model, model.unary[None] - noise,
-                           cfg.inference, passer)[0]
+        q = solver.infer(model.unary[None] - noise)[0]
         out[start:stop] = mpm_decode(q)
     return SampleSet(out, m)
 

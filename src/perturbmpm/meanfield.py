@@ -5,17 +5,19 @@ The marginal update is the parallel (synchronous) form
     Q'_i(l) = softmax_l( -psi_u(i, l) - sum_k msg_k(i, l) )
     msg_k(i, l) = sum_{j != i} k(i, j) * (1 - Q_j(l))        (Potts)
 
-with two interchangeable message-passing backends.  The exact backend
-sums every kernel without approximation: a Gaussian over the grid
+`MeanField` is the one solver: built once per model and backend, it
+computes every backend's messages with that formula, as the sum over the
+kernels of K applied to P = 1 - Q with the i = j term removed.  The exact
+backend sums every kernel without approximation: a Gaussian over the grid
 coordinates factors into one d x d matrix per grid axis, so its messages
 cost O(N * sum(dims)) per label channel; a kernel over any other features
-is a dense N x N matrix product, O(N^2) per channel.  The lattice backend
-approximates the sums with a permutohedral-lattice filter.
+joins one dense N x N matrix with a zeroed diagonal, O(N^2) per channel.
+The lattice backend approximates each kernel's sums with a
+permutohedral-lattice filter.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -56,11 +58,6 @@ def _softmax_neg(e: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
-
-
-def mean_field_init(model: DenseCrfModel) -> np.ndarray:
-    """Initial marginals: per-voxel softmax of negative unaries."""
-    return _softmax_neg(model.unary)
 
 
 def _lattice_apply(lattice: PermutohedralLattice, q: np.ndarray) -> np.ndarray:
@@ -105,141 +102,138 @@ def _grid_factors(dims: tuple[int, ...],
     return factors
 
 
-class _MessagePasser:
-    """Per-model message computation, reusable across many marginal fields.
+class MeanField:
+    """Parallel mean-field inference on one model with one backend.
 
-    The exact backend keeps the weighted per-axis factors of each grid
-    kernel and sums every other kernel into one dense matrix; a kernel on
-    a grid with a single axis longer than 1 has one factor, which is its
-    dense matrix, so it joins the dense sum.
+    Built once per model; `messages`, `step` and `infer` reuse its kernel
+    operators for any number of marginal fields.  On the exact backend a
+    grid kernel keeps its weighted per-axis factors, and every other
+    kernel joins one dense matrix; a kernel on a grid with a single axis
+    longer than 1 has one factor, which is its dense matrix.  On the
+    lattice backend each kernel keeps its permutohedral lattice.
     """
 
-    def __init__(self, model: DenseCrfModel, backend: str):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
+    def __init__(self, model: DenseCrfModel, cfg: InferenceConfig | None = None):
         self.model = model
-        self.backend = backend
-        if backend == "exact":
-            self._init_exact(model)
-        else:
-            ones = np.ones(model.n_voxels)
-            self._filters = []
-            for kernel in model.kernels:
-                lattice = PermutohedralLattice(kernel.scaled_features())
-                neighbour_mass = kernel.weight * (lattice.filter(ones) - 1.0)
-                self._filters.append((kernel, lattice, neighbour_mass))
-
-    def _init_exact(self, model: DenseCrfModel) -> None:
-        dims, m = model.dims, model.n_labels
-        dense = None
-        row_mass = np.zeros(model.n_voxels)
-        self._grid = []          # weighted per-axis factors, one list a kernel
-        self._grid_weight = 0.0  # summed weights of the grid kernels
+        self.cfg = InferenceConfig() if cfg is None else cfg
+        self._dense = None   # summed non-grid kernels, zero diagonal
+        self._grid = []      # (weight, weighted per-axis factors) a kernel
+        self._lattices = []  # (weight, lattice) a kernel
+        # (batch, axis length, trailing voxels x labels) of each long axis,
+        # so one matmul applies that axis's factor to a C-ordered field
+        dims = model.dims
+        self._axis_shapes = [(-1, d, math.prod(dims[a + 1:]) * model.n_labels)
+                             for a, d in enumerate(dims) if d > 1]
+        if self.cfg.backend == "lattice":
+            self._lattices = [
+                (kernel.weight, PermutohedralLattice(kernel.scaled_features()))
+                for kernel in model.kernels]
+            return
         for kernel in model.kernels:
             factors = _grid_factors(dims, kernel)
             if factors is not None and len(factors) > 1:
                 factors[0] = kernel.weight * factors[0]
-                self._grid.append(factors)
-                self._grid_weight += kernel.weight
-                mass = functools.reduce(np.multiply.outer,
-                                        [f.sum(axis=1) for f in factors])
-                row_mass += mass.ravel() - kernel.weight
+                self._grid.append((kernel.weight, factors))
                 continue
             if factors:
                 k = kernel.weight * factors[0]
             else:
                 k = kernel_matrix(kernel)
                 k[k < _TINY] = 0.0
-            dense = k if dense is None else dense + k
-        if dense is not None:
-            np.fill_diagonal(dense, 0.0)
-            row_mass += dense.sum(axis=1)
-        self._dense = dense
-        self._row_mass = row_mass[:, None]
-        # (batch, axis length, trailing voxels x labels) of each long axis,
-        # so one matmul applies that axis's factor to a C-ordered field
-        self._axis_shapes = [(-1, d, math.prod(dims[a + 1:]) * m)
-                             for a, d in enumerate(dims) if d > 1]
+            self._dense = k if self._dense is None else self._dense + k
+        if self._dense is not None:
+            np.fill_diagonal(self._dense, 0.0)
+
+    def _terms(self, p: np.ndarray):
+        """Each kernel (the dense ones as one) applied to p without its
+        i = j term, as a fresh array the caller may overwrite."""
+        if self._dense is not None:
+            yield np.matmul(self._dense, p)
+        for weight, factors in self._grid:
+            kp = p
+            for f, shape in zip(factors, self._axis_shapes):
+                kp = np.matmul(f, kp.reshape(shape))
+            kp = kp.reshape(p.shape)
+            kp -= weight * p
+            yield kp
+        for weight, lattice in self._lattices:
+            kp = _lattice_apply(lattice, p)
+            kp -= p
+            kp *= weight
+            yield kp
 
     def messages(self, q: np.ndarray) -> np.ndarray:
-        """Summed Potts messages for marginals of shape (..., N, m)."""
-        if self.backend == "exact":
-            if self._dense is None and not self._grid:
-                return np.zeros_like(q)
-            out = self._row_mass
-            if self._dense is not None:
-                out = out - np.matmul(self._dense, q)
-            if self._grid:
-                out = out + self._grid_weight * q
-                for factors in self._grid:
-                    kq = q
-                    for f, shape in zip(factors, self._axis_shapes):
-                        kq = np.matmul(f, kq.reshape(shape))
-                    out -= kq.reshape(q.shape)
-            return out
-        total = np.zeros_like(q)
-        for kernel, lattice, neighbour_mass in self._filters:
-            neigh = kernel.weight * (_lattice_apply(lattice, q) - q)
-            total += neighbour_mass[..., :, None] - neigh
-        return total
+        """Summed Potts messages sum_{j != i} k(i, j) (1 - q_j) for
+        marginals of shape (..., N, m)."""
+        q = np.asarray(q)
+        total = None
+        for term in self._terms(1.0 - q):
+            if total is None:
+                total = term
+            else:
+                total += term
+        return np.zeros_like(q) if total is None else total
+
+    def step(self, q: np.ndarray) -> np.ndarray:
+        """One parallel mean-field sweep; rows of the result sum to 1."""
+        q = np.asarray(q)
+        if q.shape[-2:] != (self.model.n_voxels, self.model.n_labels):
+            raise ModelShapeError(
+                f"marginal field shape {q.shape} does not match model")
+        return _softmax_neg(self.model.unary + self.messages(q))
+
+    def infer(self, unaries: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean-field inference for a batch of unary fields of shape
+        (T, N, m) sharing the model's kernels.
+
+        Converged batch entries are frozen so results are identical to
+        running each entry on its own.  Returns (marginals, iterations,
+        converged) with shapes (T, N, m), (T,) and (T,); an entry that
+        never changed by less than the tolerance stops at the iteration
+        cap with converged False.
+        """
+        cfg = self.cfg
+        q = _softmax_neg(unaries)
+        t = q.shape[0]
+        iterations = np.full(t, cfg.max_iterations, dtype=np.int64)
+        active = np.arange(t)
+        for it in range(cfg.max_iterations):
+            # while every entry is active, skip the gather and the scatter
+            every = active.size == t
+            q_active = q if every else q[active]
+            u_active = unaries if every else unaries[active]
+            q_new = _softmax_neg(u_active + self.messages(q_active))
+            delta = np.abs(q_new - q_active).max(axis=(1, 2))
+            if every:
+                q = q_new
+            else:
+                q[active] = q_new
+            done = delta < cfg.convergence_tol
+            iterations[active[done]] = it + 1
+            active = active[~done]
+            if active.size == 0:
+                break
+        converged = np.ones(t, dtype=bool)
+        converged[active] = False
+        return q, iterations, converged
 
 
-def mean_field_step(model: DenseCrfModel, q: np.ndarray, backend: str = "exact",
-                    passer: _MessagePasser | None = None) -> np.ndarray:
+def mean_field_init(model: DenseCrfModel) -> np.ndarray:
+    """Initial marginals: per-voxel softmax of negative unaries."""
+    return _softmax_neg(model.unary)
+
+
+def mean_field_step(model: DenseCrfModel, q: np.ndarray,
+                    backend: str = "exact") -> np.ndarray:
     """One parallel mean-field sweep; rows of the result sum to 1."""
-    q = np.asarray(q)
-    if q.shape[-2:] != (model.n_voxels, model.n_labels):
-        raise ModelShapeError(
-            f"marginal field shape {q.shape} does not match model")
-    if passer is None:
-        passer = _MessagePasser(model, backend)
-    return _softmax_neg(model.unary + passer.messages(q))
-
-
-def _infer_batched(model: DenseCrfModel, unaries: np.ndarray,
-                   cfg: InferenceConfig,
-                   passer: _MessagePasser | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean-field inference for a batch of unary fields sharing the kernels.
-
-    Converged batch entries are frozen so results are identical to running
-    each entry on its own.  Returns (marginals, iterations, converged) with
-    shapes (T, N, m), (T,) and (T,); an entry that never changed by less
-    than the tolerance stops at the iteration cap with converged False.
-    """
-    if passer is None:
-        passer = _MessagePasser(model, cfg.backend)
-    q = _softmax_neg(unaries)
-    t = q.shape[0]
-    iterations = np.full(t, cfg.max_iterations, dtype=np.int64)
-    active = np.arange(t)
-    for it in range(cfg.max_iterations):
-        # while every entry is active, skip the gather and the scatter
-        every = active.size == t
-        q_active = q if every else q[active]
-        u_active = unaries if every else unaries[active]
-        q_new = _softmax_neg(u_active + passer.messages(q_active))
-        delta = np.abs(q_new - q_active).max(axis=(1, 2))
-        if every:
-            q = q_new
-        else:
-            q[active] = q_new
-        done = delta < cfg.convergence_tol
-        iterations[active[done]] = it + 1
-        active = active[~done]
-        if active.size == 0:
-            break
-    converged = np.ones(t, dtype=bool)
-    converged[active] = False
-    return q, iterations, converged
+    return MeanField(model, InferenceConfig(backend=backend)).step(q)
 
 
 def mean_field_infer(model: DenseCrfModel, cfg: InferenceConfig | None = None
                      ) -> tuple[np.ndarray, int]:
     """Iterate mean-field sweeps to convergence; returns (Q, n_iterations)."""
-    if cfg is None:
-        cfg = InferenceConfig()
-    q, iterations, _ = _infer_batched(model, model.unary[None, :, :], cfg)
+    q, iterations, _ = MeanField(model, cfg).infer(model.unary[None])
     return q[0], int(iterations[0])
 
 

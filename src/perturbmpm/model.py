@@ -121,14 +121,12 @@ def kernel_matrix(kernel: GaussianKernel) -> np.ndarray:
     return kernel.weight * np.exp(-0.5 * sq)
 
 
-def pairwise_matrix(model: DenseCrfModel, zero_diagonal: bool = False) -> np.ndarray:
+def pairwise_matrix(model: DenseCrfModel) -> np.ndarray:
     """Sum of all kernel matrices of the model."""
     n = model.n_voxels
     total = np.zeros((n, n))
     for kernel in model.kernels:
         total += kernel_matrix(kernel)
-    if zero_diagonal:
-        np.fill_diagonal(total, 0.0)
     return total
 
 

@@ -150,20 +150,11 @@ def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,
     Sample t uses draw t of the seed, so a perturb_and_mpm run with the
     same seed sees exactly the same perturbations (paired decodes).
     """
-    total = n_states(model)
-    if total > MAX_ENUM_STATES:
-        raise CapacityError(
-            f"{total} labelings exceeds the enumeration guard of "
-            f"{MAX_ENUM_STATES}")
+    # the pairwise energy of every labeling: its energy under zero unaries
+    base_pair = _all_energies(model.with_unary(np.zeros_like(model.unary)))
+    total = len(base_pair)
     n, m = model.n_voxels, model.n_labels
-    codes_all = np.arange(total)
-    states = decode_labeling(codes_all, n, m)
-    base_pair = np.zeros(total)
-    if model.kernels:
-        pair = pairwise_matrix(model)
-        for i in range(n):
-            for j in range(i + 1, n):
-                base_pair += pair[i, j] * (states[:, i] != states[:, j])
+    states = decode_labeling(np.arange(total), n, m)
     out = np.empty((count, n), dtype=np.int64)
     chunk = max(1, _CHUNK // total)
     for start in range(0, count, chunk):

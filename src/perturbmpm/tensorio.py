@@ -76,17 +76,6 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(f"{path}: unsupported tensor shape: {exc}") from exc
 
 
-def read_tensor_expect(path, rank: int | None = None,
-                       shape: tuple | None = None) -> np.ndarray:
-    """Read a tensor and validate its rank/shape at the call site."""
-    arr = read_tensor(path)
-    if rank is not None and arr.ndim != rank:
-        raise FormatError(f"{path}: expected rank {rank}, got {arr.ndim}")
-    if shape is not None and arr.shape != tuple(shape):
-        raise FormatError(f"{path}: expected shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
-
 # -- PGM (binary, 8-bit grayscale) ----------------------------------------
 
 def write_pgm(path, image: np.ndarray, max_val: int = 255) -> None:

@@ -3,8 +3,7 @@ import pytest
 
 from perturbmpm import FormatError, read_pgm, read_tensor, write_pgm, \
     write_tensor
-from perturbmpm.tensorio import entropy_heatmap_image, read_tensor_expect, \
-    write_manifest
+from perturbmpm.tensorio import entropy_heatmap_image, write_manifest
 
 
 def test_tensor_round_trip_f64(tmp_path):
@@ -44,16 +43,6 @@ def test_tensor_truncated_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(FormatError):
         read_tensor(path)
-
-
-def test_tensor_shape_expectations(tmp_path):
-    path = tmp_path / "t.pmt"
-    write_tensor(path, np.zeros((4, 2)))
-    read_tensor_expect(path, rank=2, shape=(4, 2))
-    with pytest.raises(FormatError):
-        read_tensor_expect(path, rank=3)
-    with pytest.raises(FormatError):
-        read_tensor_expect(path, shape=(2, 4))
 
 
 def test_tensor_rejects_unsupported_dtype(tmp_path):

@@ -3,12 +3,12 @@ import pytest
 from scipy.special import softmax
 
 from perturbmpm import (DenseCrfModel, GaussianKernel, InferenceConfig,
-                        ModelShapeError, PermutohedralLattice, SamplingConfig,
+                        MeanField, ModelShapeError, PermutohedralLattice,
+                        SamplingConfig,
                         build_grid_model, check_marginal_field,
                         grid_coordinates, mean_field_infer, mean_field_init,
                         mean_field_step, mpm_decode, perturb_and_mpm)
-from perturbmpm.meanfield import _FILTER_SAMPLES, _infer_batched, \
-    _MessagePasser
+from perturbmpm.meanfield import _FILTER_SAMPLES
 
 
 def grid_model(n=4, weight=1.0, seed=0):
@@ -43,7 +43,7 @@ def test_single_node_exact():
 def test_message_pass_exact_brute_force():
     model = grid_model(n=3, weight=1.3)
     q = mean_field_init(model)
-    msgs = _MessagePasser(model, "exact").messages(q)
+    msgs = MeanField(model).messages(q)
     from perturbmpm import kernel_weight
     for i in range(3):
         for l in range(2):
@@ -80,7 +80,7 @@ def random_marginals(shape, seed):
 def test_grid_kernel_messages_match_brute_force(dims, kernels):
     n = int(np.prod(dims))
     model = build_grid_model(dims, 3, np.zeros((n, 3)), kernels)
-    passer = _MessagePasser(model, "exact")
+    passer = MeanField(model)
     # no N x N matrix unless one axis holds the whole grid
     assert (passer._dense is None) == (sum(d > 1 for d in dims) > 1)
     for shape in ((n, 3), (5, n, 3)):
@@ -95,9 +95,9 @@ def test_far_pairs_underflow_to_zero():
                                    (1.5, 1.5))
     model = build_grid_model(dims, 2, np.zeros((180, 2)),
                              [(1.0, 1.5), reversed_grid])
-    passer = _MessagePasser(model, "exact")
+    passer = MeanField(model)
     tiny = np.finfo(np.float64).tiny
-    for k in (passer._grid[0][0], passer._dense):
+    for k in (passer._grid[0][1][0], passer._dense):
         assert k.min() == 0.0
         assert np.all((k == 0.0) | (k >= tiny))
     q = random_marginals((180, 2), seed=4)
@@ -114,7 +114,7 @@ def test_non_grid_features_take_dense_path(reorder):
                 else rng.random((20, 2)) * 4.0)
     kernels = [GaussianKernel(0.8, features, (1.5, 2.0)), (1.2, (1.0, 2.5))]
     model = build_grid_model(dims, 3, np.zeros((20, 3)), kernels)
-    passer = _MessagePasser(model, "exact")
+    passer = MeanField(model)
     assert passer._dense is not None
     assert len(passer._grid) == 1
     for shape in ((20, 3), (4, 20, 3)):
@@ -149,11 +149,10 @@ def test_batched_matches_sequential():
     rng = np.random.default_rng(9)
     unaries = rng.random((7, 5, 2))
     cfg = InferenceConfig()
-    passer = _MessagePasser(model, "exact")
-    q_batch, it_batch, ok_batch = _infer_batched(model, unaries, cfg, passer)
+    passer = MeanField(model, cfg)
+    q_batch, it_batch, ok_batch = passer.infer(unaries)
     for t in range(7):
-        q_one, it_one, ok_one = _infer_batched(model, unaries[t:t + 1], cfg,
-                                               passer)
+        q_one, it_one, ok_one = passer.infer(unaries[t:t + 1])
         assert np.array_equal(q_batch[t], q_one[0])
         assert it_batch[t] == it_one[0]
         assert ok_batch[t] == ok_one[0]
@@ -164,11 +163,10 @@ def test_batched_matches_sequential_on_2d_grid():
                              [(1.5, (1.0, 2.0))])
     unaries = np.random.default_rng(2).random((6, 35, 3))
     cfg = InferenceConfig(max_iterations=30)
-    passer = _MessagePasser(model, "exact")
-    q_batch, it_batch, ok_batch = _infer_batched(model, unaries, cfg, passer)
+    passer = MeanField(model, cfg)
+    q_batch, it_batch, ok_batch = passer.infer(unaries)
     for t in range(6):
-        q_one, it_one, ok_one = _infer_batched(model, unaries[t:t + 1], cfg,
-                                               passer)
+        q_one, it_one, ok_one = passer.infer(unaries[t:t + 1])
         assert np.array_equal(q_batch[t], q_one[0])
         assert (it_batch[t], ok_batch[t]) == (it_one[0], ok_one[0])
 
@@ -176,11 +174,11 @@ def test_batched_matches_sequential_on_2d_grid():
 def test_infer_batched_reports_convergence():
     model = grid_model(n=5, weight=1.0, seed=1)
     unaries = np.random.default_rng(3).random((2, 5, 2))
-    _, iterations, converged = _infer_batched(
-        model, unaries, InferenceConfig(max_iterations=2))
+    _, iterations, converged = MeanField(
+        model, InferenceConfig(max_iterations=2)).infer(unaries)
     assert iterations.tolist() == [2, 2] and not converged.any()
-    _, iterations, converged = _infer_batched(
-        model, unaries, InferenceConfig(max_iterations=200))
+    _, iterations, converged = MeanField(
+        model, InferenceConfig(max_iterations=200)).infer(unaries)
     assert converged.all() and np.all(iterations < 200)
 
 
@@ -233,3 +231,40 @@ def test_lattice_sampling_bitwise_across_batch_sizes():
     whole = perturb_and_mpm(model, cfg, batch_size=2048)
     assert np.array_equal(whole.labels,
                           perturb_and_mpm(model, cfg, batch_size=7).labels)
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_reused_solver_matches_fresh_bitwise(backend):
+    model = build_grid_model((4, 6), 3, np.zeros((24, 3)),
+                             [(1.2, (1.0, 2.0)), (0.5, 3.0)])
+    cfg = InferenceConfig(max_iterations=15, backend=backend)
+    solver = MeanField(model, cfg)
+    for seed in range(3):
+        unaries = np.random.default_rng(seed).random((4, 24, 3))
+        q = random_marginals((24, 3), seed=seed)
+        for got, want in zip(solver.infer(unaries),
+                             MeanField(model, cfg).infer(unaries)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(solver.step(q), MeanField(model, cfg).step(q))
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_wrappers_equal_solver_methods_bitwise(backend):
+    model = grid_model(n=7, weight=1.5, seed=2)
+    cfg = InferenceConfig(max_iterations=30, backend=backend)
+    solver = MeanField(model, cfg)
+    q = mean_field_init(model)
+    assert np.array_equal(mean_field_step(model, q, backend), solver.step(q))
+    q_one, iterations, _ = solver.infer(model.unary[None])
+    q_wrap, n_iter = mean_field_infer(model, cfg)
+    assert np.array_equal(q_wrap, q_one[0])
+    assert n_iter == iterations[0]
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_messages_without_kernels_keep_shape(backend):
+    model = DenseCrfModel((2, 3), 4, np.zeros((6, 4)))
+    solver = MeanField(model, InferenceConfig(backend=backend))
+    for shape in ((6, 4), (5, 6, 4)):
+        msgs = solver.messages(random_marginals(shape, seed=1))
+        assert msgs.shape == shape and not msgs.any()
