@@ -9,7 +9,6 @@ manifest recording the resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import textwrap
 
@@ -111,31 +110,23 @@ def _build_parser() -> _Parser:
 
 
 def _resolve(cfg, args):
-    """Apply command-line overrides to a parsed RunConfig."""
-    updates = {}
-    for flag, field in (("seed", "seed"), ("backend", "backend"),
-                        ("samples", "n_samples"), ("threshold", "threshold")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field] = value
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    """Apply command-line overrides to a parsed RunConfig, which checks
+    them like file values."""
+    return cfg.override(**{
+        key: getattr(args, key) for key in ("seed", "backend", "samples",
+                                            "threshold")
+        if getattr(args, key, None) is not None})
 
 
-# Config keys that `biomarker` applies to both models, with their fields.
-_SHARED_KEYS = (("seed", "seed"), ("samples", "n_samples"),
-                  ("backend", "backend"), ("iterations", "max_iterations"),
-                  ("tol", "convergence_tol"), ("threshold", "threshold"))
-
-
-def _sampling_config(cfg) -> SamplingConfig:
-    return SamplingConfig(cfg.n_samples, seed=cfg.seed,
-                          inference=cfg.inference())
+# Config keys that `biomarker` applies to both models.
+_SHARED_KEYS = ("seed", "samples", "backend", "iterations", "tol",
+                "threshold")
 
 
 def _cmd_infer(args) -> int:
     cfg = _resolve(parse_config(args.model), args)
     model = load_model(cfg)
-    inference = cfg.inference()
+    inference = cfg.sampling().inference
     q, iterations, converged = MeanField(model, inference).infer(
         model.unary[None])
     q = q[0]
@@ -159,7 +150,7 @@ def _cmd_infer(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _resolve(parse_config(args.model), args)
     model = load_model(cfg)
-    samples = perturb_and_mpm(model, _sampling_config(cfg))
+    samples = perturb_and_mpm(model, cfg.sampling())
     write_tensor(args.out, samples.labels.astype(np.uint32))
     write_manifest(args.out, "sample", cfg.echo(), __version__)
     print(f"wrote {len(samples)} samples of {samples.n_voxels} voxels "
@@ -173,15 +164,15 @@ def _cmd_sample(args) -> int:
 
 def _cmd_uncertainty(args) -> int:
     cfg = _resolve(parse_config(args.model), args)
+    if args.heatmap and len(cfg.dims) != 2:
+        raise ConfigError("PGM heatmaps require a 2-d grid")
     model = load_model(cfg)
-    samples = perturb_and_mpm(model, _sampling_config(cfg))
+    samples = perturb_and_mpm(model, cfg.sampling())
     marginals = empirical_marginals(samples)
     entropy = entropy_map(marginals)
     write_tensor(args.out, entropy)
     write_manifest(args.out, "uncertainty", cfg.echo(), __version__)
     if args.heatmap:
-        if len(cfg.dims) != 2:
-            raise ConfigError("PGM heatmaps require a 2-d grid")
         write_pgm(args.heatmap,
                   entropy_heatmap_image(entropy, model.n_labels, cfg.dims))
         write_manifest(args.heatmap, "uncertainty", cfg.echo(), __version__)
@@ -213,8 +204,8 @@ def _cmd_biomarker(args) -> int:
 
     pre_cfg = _resolve(parse_config(args.pre_model), args)
     post_cfg = _resolve(parse_config(args.post_model), args)
-    differ = [key for key, field in _SHARED_KEYS
-              if getattr(pre_cfg, field) != getattr(post_cfg, field)]
+    differ = [key for key in _SHARED_KEYS
+              if pre_cfg.value(key) != post_cfg.value(key)]
     if differ:
         raise ConfigError(
             "--pre-model and --post-model configs must agree on how both "
@@ -229,9 +220,13 @@ def _cmd_biomarker(args) -> int:
         truths.append(truth.ravel())
     pre_model = load_model(pre_cfg)
     post_model = load_model(post_cfg)
+    n_labels = min(pre_model.n_labels, post_model.n_labels)
+    if not 0 <= args.target_label < n_labels:
+        raise ConfigError(f"--target-label must lie in [0, {n_labels}), "
+                          f"got {args.target_label}")
     report = run_biomarker_experiment(
         pre_model, post_model, *truths,
-        _sampling_config(pre_cfg), args.target_label,
+        pre_cfg.sampling(), args.target_label,
         threshold=pre_cfg.threshold)
     write_biomarker_csv(args.out, report)
     manifest = []

@@ -2,41 +2,42 @@
 
 Schema (one `key = value` per line, '#' comments, blank lines ignored):
 
-    dims      = 32 32            grid dimensions (required)
-    labels    = 4                number of labels (required)
-    unary     = potentials.pmt   PMPM tensor of (N, m) potentials in nats
-    prob_map  = a.pgm b.pgm      per-label probability maps (one PGM each)
-    kernel    = 1.0 1.0          weight then one sigma per dim (repeatable)
-    seed      = 0                noise key, 0 <= seed < 2**64
-    samples   = 200
-    backend   = exact            exact | lattice
-    threshold = 0.0              uncertainty threshold in bits
-    iterations = 10
-    tol       = 1e-5
-    epsilon   = 0.1              optional; with delta, reports the sample
-    delta     = 0.05             size needed for that accuracy
+    dims       = 32 32           grid dimensions (required)
+    labels     = 4               number of labels (required)
+    unary      = potentials.pmt  PMPM tensor of (N, m) potentials in nats
+    prob_map   = a.pgm b.pgm     per-label probability maps (one PGM each)
+    kernel     = 1.0 1.0         weight then one sigma per dim (repeatable)
+    seed       = 7               noise key, 0 <= seed < 2**64
+    samples    = 500             sample count, >= 1
+    backend    = lattice         exact | lattice
+    threshold  = 0.25            uncertainty threshold in bits, >= 0
+    iterations = 20              mean-field sweep cap, >= 1
+    tol        = 1e-6            mean-field convergence tolerance, >= 0
+    epsilon    = 0.1             optional; with delta, reports the sample
+    delta      = 0.05            size needed for that accuracy
 
 `unary` and `prob_map` are mutually exclusive; with neither, unaries are
 uniform.  Relative paths resolve against the config file's directory.
+Other keys default to their `RunConfig` field's default.  `RunConfig` reads
+each value's text as a file line is read, so values from a file, a flag
+(`RunConfig.override`) or a caller are checked alike; a `ConfigError`
+names the key.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .gumbel import check_seed
+from .gumbel import SamplingConfig, check_seed
 from .meanfield import BACKENDS, InferenceConfig
 from .metrics import required_sample_size
 from .model import DenseCrfModel, build_grid_model, unaries_from_probabilities
 from .tensorio import read_pgm, read_tensor
-
-_KNOWN_KEYS = ("dims", "labels", "unary", "prob_map", "kernel", "seed",
-               "samples", "backend", "threshold", "iterations", "tol",
-               "epsilon", "delta")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,76 +45,166 @@ class RunConfig:
     dims: tuple[int, ...]
     n_labels: int
     unary_path: str | None = None
-    prob_map_paths: tuple[str, ...] = ()
+    prob_map_paths: tuple[str, ...] | None = None
     kernels: tuple[tuple[float, tuple[float, ...]], ...] = ()
-    seed: int = 0
+    seed: int = SamplingConfig.seed
     n_samples: int = 200
-    backend: str = "exact"
+    backend: str = InferenceConfig.backend
     threshold: float = 0.0
-    max_iterations: int = 10
-    convergence_tol: float = 1e-5
+    max_iterations: int = InferenceConfig.max_iterations
+    convergence_tol: float = InferenceConfig.convergence_tol
     epsilon: float | None = None
     delta: float | None = None
     base_dir: str = "."
+
+    def __post_init__(self):
+        for key, value in self._lines():
+            try:
+                _SETTINGS[key].read(_text(value))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        if self.unary_path and self.prob_map_paths:
+            raise ConfigError("'unary' and 'prob_map' are mutually exclusive")
+        if self.prob_map_paths and len(self.prob_map_paths) != self.n_labels:
+            raise ConfigError(f"prob_map needs {self.n_labels} images, "
+                              f"got {len(self.prob_map_paths)}")
+        if (self.epsilon is None) != (self.delta is None):
+            raise ConfigError("epsilon and delta must be given together")
+        ndims = len(self.dims)
+        for _, sigmas in self.kernels:
+            if len(sigmas) not in (1, ndims):
+                raise ConfigError(
+                    f"kernel has {len(sigmas)} sigmas for a {ndims}-d grid "
+                    f"(expected 1 or {ndims})")
+
+    def _lines(self):
+        """(key, value) pairs, one a config line; unset keys have none."""
+        for key, setting in _SETTINGS.items():
+            value = getattr(self, setting.field)
+            if setting.repeated:
+                yield from ((key, item) for item in value)
+            elif value is not None:
+                yield key, value
 
     @property
     def n_voxels(self) -> int:
         return int(np.prod(self.dims))
 
-    def inference(self) -> InferenceConfig:
-        return InferenceConfig(self.max_iterations, self.convergence_tol,
-                               self.backend)
+    def value(self, key: str):
+        """The value of a config key."""
+        return getattr(self, _SETTINGS[key].field)
+
+    def override(self, **values) -> "RunConfig":
+        """A copy with the given keys set, checked like file values."""
+        return dataclasses.replace(self, **{
+            _SETTINGS[key].field: value for key, value in values.items()})
+
+    def sampling(self) -> SamplingConfig:
+        return SamplingConfig(self.n_samples, self.seed, InferenceConfig(
+            self.max_iterations, self.convergence_tol, self.backend))
 
     def echo(self) -> str:
         """Canonical text form with every default resolved."""
-        lines = [
-            "dims = " + " ".join(str(d) for d in self.dims),
-            f"labels = {self.n_labels}",
-        ]
-        if self.unary_path:
-            lines.append(f"unary = {self.unary_path}")
-        if self.prob_map_paths:
-            lines.append("prob_map = " + " ".join(self.prob_map_paths))
-        for weight, sigmas in self.kernels:
-            lines.append("kernel = " + " ".join(
-                repr(v) for v in (weight, *sigmas)))
-        lines += [
-            f"seed = {self.seed}",
-            f"samples = {self.n_samples}",
-            f"backend = {self.backend}",
-            f"threshold = {self.threshold!r}",
-            f"iterations = {self.max_iterations}",
-            f"tol = {self.convergence_tol!r}",
-        ]
-        if self.epsilon is not None and self.delta is not None:
-            lines += [
-                f"epsilon = {self.epsilon!r}",
-                f"delta = {self.delta!r}",
-                "# required_sample_size = "
-                f"{required_sample_size(self.epsilon, self.delta, self.n_labels)}",
-            ]
+        lines = [f"{key} = {_text(value)}" for key, value in self._lines()]
+        if self.epsilon is not None:
+            need = required_sample_size(self.epsilon, self.delta, self.n_labels)
+            lines.append(f"# required_sample_size = {need}")
         return "\n".join(lines)
 
 
-def _fail(path, lineno: int, message: str):
-    raise ConfigError(f"{path}:{lineno}: {message}")
+def _text(value) -> str:
+    """A value as config text, tuple items space-separated."""
+    return " ".join(map(_text, value)) if isinstance(value, tuple) \
+        else str(value)
 
 
-def _parse_int(path, lineno, key, text):
+# A parser turns a value's text into the value or raises ValueError; a
+# check returns the problem with a parsed value, or None.
+
+def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        _fail(path, lineno, f"{key}: expected an integer, got {text!r}")
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_float(path, lineno, key, text):
+def _float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        _fail(path, lineno, f"{key}: expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _kernel(text: str) -> tuple[float, tuple[float, ...]]:
+    parts = [_float(t) for t in text.split()]
+    if len(parts) < 2:
+        raise ValueError("expected a weight and at least one sigma")
+    return parts[0], tuple(parts[1:])
+
+
+def _check_seed(seed: int) -> str | None:
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _rule(ok: Callable[[Any], bool], problem: str):
+    """A check that reports problem for a value that is not ok."""
+    return lambda value: None if ok(value) else problem
+
+
+@dataclasses.dataclass(frozen=True)
+class _Setting:
+    field: str
+    parse: Callable[[str], Any]
+    check: Callable[[Any], str | None] = lambda value: None
+    repeated: bool = False  # one tuple item per config line
+
+    def read(self, text: str):
+        """The value of a config line's text; ValueError if invalid."""
+        if not text:
+            raise ValueError("missing value")
+        value = self.parse(text)
+        problem = self.check(value)
+        if problem:
+            raise ValueError(problem)
+        return value
+
+
+_AT_LEAST_1 = _rule(lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = _rule(lambda v: v >= 0, "must be non-negative")
+_FRACTION = _rule(lambda v: 0 < v < 1, "must lie in (0, 1)")
+# Config keys in file and echo order.
+_SETTINGS = {
+    "dims": _Setting("dims", lambda text: tuple(map(_int, text.split())),
+                     _rule(lambda v: min(v) >= 1,
+                           "dimensions must be positive")),
+    "labels": _Setting("n_labels", _int,
+                       _rule(lambda v: v >= 2, "need at least 2 labels")),
+    "unary": _Setting("unary_path", str),
+    "prob_map": _Setting("prob_map_paths", lambda text: tuple(text.split())),
+    "kernel": _Setting("kernels", _kernel, _rule(
+        lambda k: k[0] >= 0 and min(k[1]) > 0,
+        "weight must be >= 0 and sigmas > 0"), repeated=True),
+    "seed": _Setting("seed", _int, _check_seed),
+    "samples": _Setting("n_samples", _int, _AT_LEAST_1),
+    "backend": _Setting("backend", str, _rule(
+        lambda v: v in BACKENDS, f"must be one of {', '.join(BACKENDS)}")),
+    "threshold": _Setting("threshold", _float, _NON_NEGATIVE),
+    "iterations": _Setting("max_iterations", _int, _AT_LEAST_1),
+    "tol": _Setting("convergence_tol", _float, _NON_NEGATIVE),
+    "epsilon": _Setting("epsilon", _float, _FRACTION),
+    "delta": _Setting("delta", _float, _FRACTION),
+}
+
+
+def _fail(path, lineno: int, message: str):
+    raise ConfigError(f"{path}:{lineno}: {message}")
 
 
 def parse_config(path) -> RunConfig:
@@ -125,7 +216,7 @@ def parse_config(path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    fields: dict = {"kernel": [], "prob_map": ()}
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,97 +226,26 @@ def parse_config(path) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        setting = _SETTINGS.get(key)
+        if setting is None:
             _fail(path, lineno, f"unknown key {key!r}")
-        if not value:
-            _fail(path, lineno, f"{key}: missing value")
-        if key != "kernel" and key in fields and key != "prob_map":
+        if key in values and not setting.repeated:
             _fail(path, lineno, f"{key}: duplicate key")
-        if key == "dims":
-            dims = tuple(_parse_int(path, lineno, key, v)
-                         for v in value.split())
-            if any(d < 1 for d in dims):
-                _fail(path, lineno, "dims: dimensions must be positive")
-            fields["dims"] = dims
-        elif key == "labels":
-            labels = _parse_int(path, lineno, key, value)
-            if labels < 2:
-                _fail(path, lineno, "labels: need at least 2 labels")
-            fields["labels"] = labels
-        elif key == "kernel":
-            parts = [_parse_float(path, lineno, key, v) for v in value.split()]
-            if len(parts) < 2:
-                _fail(path, lineno,
-                      "kernel: expected a weight and at least one sigma")
-            weight, sigmas = parts[0], tuple(parts[1:])
-            if weight < 0 or any(s <= 0 for s in sigmas):
-                _fail(path, lineno,
-                      "kernel: weight must be >= 0 and sigmas > 0")
-            fields["kernel"].append((weight, sigmas))
-        elif key == "prob_map":
-            if fields["prob_map"]:
-                _fail(path, lineno, "prob_map: duplicate key")
-            fields["prob_map"] = tuple(value.split())
-        elif key in ("seed", "samples", "iterations"):
-            v = _parse_int(path, lineno, key, value)
-            if key == "seed":
-                try:
-                    check_seed(v)
-                except ValueError as exc:
-                    _fail(path, lineno, f"seed: {exc}")
-            elif v < 1:
-                _fail(path, lineno, f"{key}: must be >= 1")
-            fields[key] = v
-        elif key == "backend":
-            if value not in BACKENDS:
-                _fail(path, lineno,
-                      f"backend: must be one of {', '.join(BACKENDS)}")
-            fields[key] = value
-        else:  # unary, threshold, tol, epsilon, delta
-            if key == "unary":
-                fields[key] = value
-            else:
-                v = _parse_float(path, lineno, key, value)
-                if key == "threshold" and v < 0:
-                    _fail(path, lineno, "threshold: must be non-negative")
-                if key == "tol" and v < 0:
-                    _fail(path, lineno, "tol: must be non-negative")
-                if key in ("epsilon", "delta") and not 0 < v < 1:
-                    _fail(path, lineno, f"{key}: must lie in (0, 1)")
-                fields[key] = v
-    if "dims" not in fields:
-        raise ConfigError(f"{path}: missing required key 'dims'")
-    if "labels" not in fields:
-        raise ConfigError(f"{path}: missing required key 'labels'")
-    if fields.get("unary") and fields["prob_map"]:
-        raise ConfigError(
-            f"{path}: 'unary' and 'prob_map' are mutually exclusive")
-    n_labels = fields["labels"]
-    if fields["prob_map"] and len(fields["prob_map"]) != n_labels:
-        raise ConfigError(
-            f"{path}: prob_map needs {n_labels} images, "
-            f"got {len(fields['prob_map'])}")
-    if (fields.get("epsilon") is None) != (fields.get("delta") is None):
-        raise ConfigError(f"{path}: epsilon and delta must be given together")
-    ndims = len(fields["dims"])
-    for weight, sigmas in fields["kernel"]:
-        if len(sigmas) not in (1, ndims):
-            raise ConfigError(
-                f"{path}: kernel has {len(sigmas)} sigmas for a "
-                f"{ndims}-d grid (expected 1 or {ndims})")
-    return RunConfig(
-        dims=fields["dims"], n_labels=n_labels,
-        unary_path=fields.get("unary"),
-        prob_map_paths=fields["prob_map"],
-        kernels=tuple(fields["kernel"]),
-        seed=fields.get("seed", 0),
-        n_samples=fields.get("samples", 200),
-        backend=fields.get("backend", "exact"),
-        threshold=fields.get("threshold", 0.0),
-        max_iterations=fields.get("iterations", 10),
-        convergence_tol=fields.get("tol", 1e-5),
-        epsilon=fields.get("epsilon"), delta=fields.get("delta"),
-        base_dir=str(path.parent))
+        try:
+            value = setting.read(value)
+        except ValueError as exc:
+            _fail(path, lineno, f"{key}: {exc}")
+        values[key] = (*values.get(key, ()), value) if setting.repeated \
+            else value
+    for key, setting in _SETTINGS.items():
+        # a field without a default is no class attribute, and required
+        if key not in values and not hasattr(RunConfig, setting.field):
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    try:
+        return RunConfig(base_dir=str(path.parent), **{
+            _SETTINGS[key].field: value for key, value in values.items()})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def unaries_from_pgm_maps(paths, dims) -> np.ndarray:

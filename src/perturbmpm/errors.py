@@ -18,4 +18,4 @@ class FormatError(PerturbMpmError):
 
 
 class ConfigError(PerturbMpmError):
-    """A run configuration file is malformed or contains unknown keys."""
+    """A run configuration, from a file, a flag or a caller, is invalid."""

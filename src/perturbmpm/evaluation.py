@@ -176,23 +176,20 @@ def compute_eor(v_pre: float, v_post: float) -> float:
 
 
 def corrected_label_volume(pred: np.ndarray, uncertainty: np.ndarray,
-                           threshold: float, target_label: int,
-                           voxel_volume: float = 1.0) -> float:
-    """Volume of the target label counting only voxels at or below the
+                           threshold: float, target_label: int) -> float:
+    """Voxel count of the target label over the voxels at or below the
     uncertainty threshold; threshold 0 excludes all non-zero uncertainty."""
     pred = np.asarray(pred)
     uncertainty = np.asarray(uncertainty)
     if pred.shape != uncertainty.shape:
         raise ValueError("pred and uncertainty must share a shape")
-    if voxel_volume <= 0:
-        raise ValueError("voxel_volume must be positive")
     keep = (pred == target_label) & (uncertainty <= threshold)
-    return float(voxel_volume * np.sum(keep))
+    return float(np.sum(keep))
 
 
-def label_volume(pred: np.ndarray, target_label: int,
-                 voxel_volume: float = 1.0) -> float:
-    return float(voxel_volume * np.sum(np.asarray(pred) == target_label))
+def label_volume(pred: np.ndarray, target_label: int) -> float:
+    """Voxel count of the target label."""
+    return float(np.sum(np.asarray(pred) == target_label))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,8 +225,7 @@ def run_biomarker_experiment(pre_model: DenseCrfModel,
                              post_model: DenseCrfModel,
                              truth_pre: np.ndarray, truth_post: np.ndarray,
                              cfg: SamplingConfig, target_label: int,
-                             threshold: float = 0.0,
-                             voxel_volume: float = 1.0) -> BiomarkerReport:
+                             threshold: float = 0.0) -> BiomarkerReport:
     """Estimate resection biomarkers from sampled segmentations of the pre-
     and postoperative models, with and without uncertainty correction.
 
@@ -242,14 +238,13 @@ def run_biomarker_experiment(pre_model: DenseCrfModel,
         marginals = empirical_marginals(samples)
         segs[tag] = (mpm_decode(marginals), entropy_map(marginals))
     (pre_seg, pre_u), (post_seg, post_u) = segs["pre"], segs["post"]
-    truth_v_pre = label_volume(truth_pre, target_label, voxel_volume)
-    truth_v_post = label_volume(truth_post, target_label, voxel_volume)
-    v_pre = label_volume(pre_seg, target_label, voxel_volume)
-    v_post = label_volume(post_seg, target_label, voxel_volume)
-    v_pre_c = corrected_label_volume(pre_seg, pre_u, threshold, target_label,
-                                     voxel_volume)
+    truth_v_pre = label_volume(truth_pre, target_label)
+    truth_v_post = label_volume(truth_post, target_label)
+    v_pre = label_volume(pre_seg, target_label)
+    v_post = label_volume(post_seg, target_label)
+    v_pre_c = corrected_label_volume(pre_seg, pre_u, threshold, target_label)
     v_post_c = corrected_label_volume(post_seg, post_u, threshold,
-                                      target_label, voxel_volume)
+                                      target_label)
     return BiomarkerReport(
         truth_v_pre=truth_v_pre, truth_v_post=truth_v_post,
         truth_eor=compute_eor(truth_v_pre, truth_v_post),

@@ -58,7 +58,13 @@ def required_sample_size(epsilon: float, delta: float, m: int = 1) -> int:
         raise ValueError("delta must lie in (0, 1)")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return math.ceil(math.log(2.0 * m / delta) / (2.0 * epsilon ** 2))
+    # ceil(log_term / (2 epsilon^2)) in exact integer arithmetic: for
+    # epsilon below about 1e-154 a float quotient overflows, though the
+    # count is still a finite integer.
+    log_term = math.log(2.0 * m) - math.log(delta)
+    num, den = log_term.as_integer_ratio()
+    a, b = float(epsilon).as_integer_ratio()
+    return -(-num * b * b // (2 * den * a * a))
 
 
 def entropy_error_bound(tv: float, m: int) -> float:

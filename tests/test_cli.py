@@ -218,3 +218,40 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--threshold", "-1"), ("--threshold", "nan"), ("--threshold", "inf"),
+    ("--samples", "0")])
+@pytest.mark.parametrize("command", ["uncertainty", "biomarker"])
+def test_invalid_override_is_data_error(model_cfg, tmp_path, capsys,
+                                        command, flag, value):
+    out = tmp_path / "out"
+    if command == "uncertainty":
+        argv = ["uncertainty", "--model", str(model_cfg)]
+    else:
+        argv = write_biomarker_inputs(tmp_path)
+    assert main(argv + [flag, value, "--out", str(out)]) == 2
+    assert f"pmpm: error: {flag[2:]}: " in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.txt").exists()
+
+
+def test_heatmap_on_non_2d_grid_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = 2 2 2\nlabels = 2\nsamples = 5\n")
+    out = tmp_path / "h.pmt"
+    assert main(["uncertainty", "--model", str(cfg), "--out", str(out),
+                 "--heatmap", str(tmp_path / "h.pgm")]) == 2
+    assert "PGM heatmaps require a 2-d grid" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("label", ["5", "2", "-1"])
+def test_biomarker_rejects_target_label_out_of_range(tmp_path, capsys, label):
+    argv = write_biomarker_inputs(tmp_path)
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--target-label", label, "--out", str(out)]) == 2
+    assert f"--target-label must lie in [0, 2), got {label}" in \
+        capsys.readouterr().err
+    assert not out.exists()

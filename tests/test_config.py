@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from perturbmpm import ConfigError, load_model, parse_config, write_pgm, \
-    write_tensor
+from perturbmpm import ConfigError, RunConfig, load_model, parse_config, \
+    write_pgm, write_tensor
 from perturbmpm.config import unaries_from_pgm_maps
+from perturbmpm.meanfield import BACKENDS
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -164,3 +169,111 @@ def test_non_finite_numbers_are_rejected(tmp_path):
         path = write_cfg(tmp_path, f"dims = 4\nlabels = 2\n{line}\n")
         with pytest.raises(ConfigError, match=":3: .*finite"):
             parse_config(path)
+
+
+@pytest.mark.parametrize("source", ["unary = u.pmt", "prob_map = a.pgm b.pgm"])
+def test_echo_text_with_every_key(tmp_path, source):
+    text = f"""dims = 2 3
+labels = 2
+{source}
+kernel = 1.0 2.0 2.5
+kernel = 0.5 1.5
+seed = 18446744073709551615
+samples = 50
+backend = lattice
+threshold = 0.25
+iterations = 20
+tol = 1e-06
+epsilon = 0.1
+delta = 0.05
+"""
+    cfg = parse_config(write_cfg(tmp_path, text))
+    assert cfg.echo() == text + "# required_sample_size = 220"
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(dims=(0,), n_labels=1, backend="gpu", threshold=-2.0),
+     "dims: dimensions must be positive"),
+    (dict(dims=(), n_labels=2), "dims: missing value"),
+    (dict(dims=(4,), n_labels=1), "labels: need at least 2 labels"),
+    (dict(dims=(4,), n_labels=2, backend="gpu"),
+     "backend: must be one of exact, lattice"),
+    (dict(dims=(4,), n_labels=2, threshold=-2.0),
+     "threshold: must be non-negative"),
+    (dict(dims=(4,), n_labels=2, threshold=float("nan")),
+     "threshold: expected a finite number"),
+    (dict(dims=(4,), n_labels=2, convergence_tol=float("inf")),
+     "tol: expected a finite number"),
+    (dict(dims=(4,), n_labels=2, n_samples=0), "samples: must be >= 1"),
+    (dict(dims=(4,), n_labels=2, n_samples=2.5),
+     "samples: expected an integer"),
+    (dict(dims=(4,), n_labels=2, max_iterations=0),
+     "iterations: must be >= 1"),
+    (dict(dims=(4,), n_labels=2, seed=-1), "seed: seed must be an integer"),
+    (dict(dims=(4,), n_labels=2, kernels=((1.0, ()),)),
+     "kernel: expected a weight and at least one sigma"),
+    (dict(dims=(4,), n_labels=2, kernels=((-1.0, (1.0,)),)),
+     "kernel: weight must be >= 0 and sigmas > 0"),
+    (dict(dims=(4, 4, 4), n_labels=2, kernels=((1.0, (1.0, 2.0)),)),
+     "kernel has 2 sigmas for a 3-d grid"),
+    (dict(dims=(4,), n_labels=2, epsilon=1.5, delta=0.1),
+     "epsilon: must lie in (0, 1)"),
+    (dict(dims=(4,), n_labels=2, delta=0.1),
+     "epsilon and delta must be given together"),
+    (dict(dims=(4,), n_labels=2, unary_path="u.pmt",
+          prob_map_paths=("a.pgm", "b.pgm")),
+     "'unary' and 'prob_map' are mutually exclusive"),
+    (dict(dims=(4,), n_labels=2, prob_map_paths=("a.pgm",)),
+     "prob_map needs 2 images, got 1"),
+])
+def test_run_config_checks_itself(fields, message):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**fields)
+    assert str(exc.value).startswith(message)
+
+
+def test_override_is_checked_like_a_file_value(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, "dims = 4\nlabels = 2\n"))
+    assert cfg.override(samples=5, threshold=0.5).value("samples") == 5
+    with pytest.raises(ConfigError, match="^threshold: must be non-negative"):
+        cfg.override(threshold=-1.0)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+paths = st.from_regex(r"[a-z][a-z0-9_.]{0,8}", fullmatch=True)
+
+
+@st.composite
+def run_configs(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=3)))
+    n_labels = draw(st.integers(2, 5))
+    source = draw(st.sampled_from(["uniform", "unary", "prob_map"]))
+    sigma = st.floats(min_value=0, exclude_min=True, **finite)
+    kernels = draw(st.lists(st.tuples(
+        st.floats(min_value=0, **finite),
+        st.sampled_from([1, len(dims)]).flatmap(
+            lambda k: st.tuples(*[sigma] * k))), max_size=3))
+    fraction = st.floats(0, 1, exclude_min=True, exclude_max=True)
+    accuracy = draw(st.none() | st.tuples(fraction, fraction))
+    return RunConfig(
+        dims=dims, n_labels=n_labels,
+        unary_path=draw(paths) if source == "unary" else None,
+        prob_map_paths=tuple(draw(st.lists(
+            paths, min_size=n_labels, max_size=n_labels)))
+        if source == "prob_map" else None,
+        kernels=tuple(kernels),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        n_samples=draw(st.integers(1, 10 ** 6)),
+        backend=draw(st.sampled_from(BACKENDS)),
+        threshold=draw(st.floats(min_value=0, **finite)),
+        max_iterations=draw(st.integers(1, 1000)),
+        convergence_tol=draw(st.floats(min_value=0, **finite)),
+        epsilon=accuracy and accuracy[0], delta=accuracy and accuracy[1])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run_configs())
+def test_echo_parses_back_to_an_equal_config(tmp_path, cfg):
+    again = parse_config(write_cfg(tmp_path, cfg.echo()))
+    assert dataclasses.replace(again, base_dir=cfg.base_dir) == cfg

@@ -80,7 +80,6 @@ def test_label_volumes():
     pred = np.array([1, 1, 0, 1])
     unc = np.array([0.0, 0.7, 0.0, 0.1])
     assert label_volume(pred, 1) == 3.0
-    assert label_volume(pred, 1, voxel_volume=2.0) == 6.0
     assert corrected_label_volume(pred, unc, 0.5, 1) == 2.0
     assert corrected_label_volume(pred, unc, 0.0, 1) == 1.0
     with pytest.raises(ValueError):

@@ -60,6 +60,14 @@ def test_required_sample_size_reference_value():
         required_sample_size(0.1, 0.05, 0)
 
 
+def test_required_sample_size_beyond_float_range():
+    # log(8) / (2 * 1e-400): a float quotient overflows, the count does not
+    huge = required_sample_size(1e-200, 0.5, 2)
+    assert len(str(huge)) == 401 and str(huge).startswith("10397207708399")
+    assert required_sample_size(0.5, 5e-324) == \
+        math.ceil((math.log(2.0) - math.log(5e-324)) / 0.5)
+
+
 def test_entropy_bound_ceiling():
     # m = 4, TV = 1: log2(3) + h(1) = 1.585 bits
     assert entropy_error_bound(1.0, 4) == pytest.approx(1.585, abs=1e-3)
