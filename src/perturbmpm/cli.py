@@ -217,6 +217,9 @@ def _cmd_biomarker(args) -> int:
             raise FormatError(
                 f"{path}: truth has {truth.size} voxels, its model has "
                 f"{cfg.n_voxels}")
+        if not np.isin(truth, np.arange(cfg.n_labels)).all():
+            raise FormatError(
+                f"{path}: truth labels must lie in [0, {cfg.n_labels})")
         truths.append(truth.ravel())
     pre_model = load_model(pre_cfg)
     post_model = load_model(post_cfg)

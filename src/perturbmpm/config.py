@@ -72,6 +72,9 @@ class RunConfig:
             raise ConfigError("epsilon and delta must be given together")
         ndims = len(self.dims)
         for _, sigmas in self.kernels:
+            if not isinstance(sigmas, tuple):
+                raise ConfigError(
+                    f"kernel: sigmas must be a tuple, got {sigmas!r}")
             if len(sigmas) not in (1, ndims):
                 raise ConfigError(
                     f"kernel has {len(sigmas)} sigmas for a {ndims}-d grid "

@@ -32,6 +32,8 @@ from .model import DenseCrfModel
 EULER_GAMMA = 0.5772156649015329
 _UNIFORM_CLAMP = 1e-15
 _WORDS_PER_STEP = 4  # Philox4x64 yields four 64-bit words per counter step
+# Values one sampling batch may stack into one array: 16 MiB of float64.
+_BATCH_VALUES = 1 << 21
 
 
 def check_seed(seed: int) -> None:
@@ -73,10 +75,15 @@ def gumbel_max_select_many(theta: np.ndarray, seed: int,
     """Sample ``count`` label indices from softmax(-theta) via Gumbel
     perturbation; draw t is the seed's noise for iteration t."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be a finite 1-d vector")
-    return np.argmin(theta[None, :] - _noise(seed, 0, count, theta.shape),
-                     axis=1)
+    if theta.ndim != 1 or not theta.size or not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be a finite non-empty 1-d vector")
+    out = np.empty(count, dtype=np.int64)
+    batch = max(1, _BATCH_VALUES // theta.size)
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
+        out[start:stop] = np.argmin(
+            theta - _noise(seed, start, stop, theta.shape), axis=1)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,9 +93,21 @@ class SamplingConfig:
     inference: InferenceConfig = dataclasses.field(default_factory=InferenceConfig)
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        if not isinstance(self.n_samples, (int, np.integer)) \
+                or self.n_samples < 1:
+            raise ValueError(
+                f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         check_seed(self.seed)
+
+
+def _read_only(a) -> bool:
+    """True for an array whose data no array can write: it and every
+    array it views are read-only, down to the one owning the data."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,12 +118,16 @@ class SampleSet:
     n_labels: int
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = self.labels
+        # an int64 array no one can write to is kept as is; anything else
+        # is copied, so later writes to the caller's array never reach it
+        if not (_read_only(labels) and labels.dtype == np.int64):
+            labels = np.array(labels, dtype=np.int64)
+            labels.setflags(write=False)
         if labels.ndim != 2:
             raise ModelShapeError("sample labels must be a (T, N) array")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_labels):
             raise ModelShapeError("sample labels out of range")
-        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
@@ -122,17 +145,20 @@ def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
                     batch_size: int = 2048) -> SampleSet:
     """Draw approximate Gibbs samples: perturb unaries, mean-field, decode.
 
-    Iteration t uses draw t of cfg.seed, so the result is reproducible
-    bit-for-bit regardless of batching.
+    Batches hold min(batch_size, _BATCH_VALUES // solver.sample_values)
+    samples, at least one.  Iteration t uses draw t of cfg.seed, so the
+    result is reproducible bit-for-bit regardless of batching.
     """
     solver = MeanField(model, cfg.inference)
     n, m = model.n_voxels, model.n_labels
+    batch = min(batch_size, max(1, _BATCH_VALUES // solver.sample_values))
     out = np.empty((cfg.n_samples, n), dtype=np.int64)
-    for start in range(0, cfg.n_samples, batch_size):
-        stop = min(start + batch_size, cfg.n_samples)
-        noise = _noise(cfg.seed, start, stop, (n, m))
-        q = solver.infer(model.unary[None] - noise)[0]
+    for start in range(0, cfg.n_samples, batch):
+        stop = min(start + batch, cfg.n_samples)
+        q = solver.infer(
+            model.unary[None] - _noise(cfg.seed, start, stop, (n, m)))[0]
         out[start:stop] = mpm_decode(q)
+    out.setflags(write=False)
     return SampleSet(out, m)
 
 

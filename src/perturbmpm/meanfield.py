@@ -31,10 +31,6 @@ BACKENDS = ("exact", "lattice")
 # bandwidths apart) are set to zero: each moves a message by less than
 # 1e-307, and subnormal operands slow BLAS down several-fold.
 _TINY = np.finfo(np.float64).tiny
-# Samples stacked into the channels of one lattice filter call.  The
-# filter's working set grows with its channel count (about 2.5 MiB a
-# sample on a 64x64 3-label grid), so batches are filtered in slices.
-_FILTER_SAMPLES = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,10 +40,13 @@ class InferenceConfig:
     backend: str = "exact"
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be non-negative")
+        if not isinstance(self.max_iterations, (int, np.integer)) \
+                or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1, "
+                             f"got {self.max_iterations!r}")
+        if not 0 <= self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and "
+                             f"non-negative, got {self.convergence_tol!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
 
@@ -61,19 +60,10 @@ def _softmax_neg(e: np.ndarray) -> np.ndarray:
 
 
 def _lattice_apply(lattice: PermutohedralLattice, q: np.ndarray) -> np.ndarray:
-    """Filter marginals of shape (N, m) or (T, N, m), channel-wise, at most
-    _FILTER_SAMPLES samples per filter call."""
-    if q.ndim == 2:
-        return lattice.filter(q)
-    t, n, m = q.shape
-    parts = []
-    for start in range(0, t, _FILTER_SAMPLES):
-        part = q[start:start + _FILTER_SAMPLES]
-        k = len(part)
-        stacked = np.ascontiguousarray(part.transpose(1, 0, 2)).reshape(n, k * m)
-        parts.append(lattice.filter(stacked).reshape(n, k, m).transpose(1, 0, 2))
-    # one slice is returned as a view, so it costs no copy
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """Filter marginals of shape (..., N, m) channel-wise in one call."""
+    stacked = np.moveaxis(q, -2, 0)
+    out = lattice.filter(stacked.reshape(stacked.shape[0], -1))
+    return np.moveaxis(out.reshape(stacked.shape), 0, -2)
 
 
 def _grid_factors(dims: tuple[int, ...],
@@ -143,6 +133,12 @@ class MeanField:
             self._dense = k if self._dense is None else self._dense + k
         if self._dense is not None:
             np.fill_diagonal(self._dense, 0.0)
+
+    @property
+    def sample_values(self) -> int:
+        """Values one marginal field stacks: m * (N + lattice vertices)."""
+        vertices = sum(lattice.n_lattice for _, lattice in self._lattices)
+        return self.model.n_labels * (self.model.n_voxels + vertices)
 
     def _terms(self, p: np.ndarray):
         """Each kernel (the dense ones as one) applied to p without its

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CapacityError, ModelShapeError
-from .gumbel import _noise, _uniforms
+from .gumbel import _noise, _uniforms, gumbel_max_select_many
 from .model import DenseCrfModel, pairwise_matrix
 
 MAX_ENUM_STATES = 2 ** 24
@@ -127,20 +127,15 @@ def exact_gibbs_sample_many(dist: ExactDistribution, seed: int,
 def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
                                     count: int) -> np.ndarray:
     """Exact Gibbs draws: perturb every labeling's energy with draw t of
-    the seed, take the argmin."""
+    the seed, take the argmin (Gumbel-max over the labelings)."""
     total = n_states(model)
     if total > MAX_PERTURB_STATES:
         raise CapacityError(
             f"{total} labelings exceeds the full-order perturbation guard "
             f"of {MAX_PERTURB_STATES}")
-    energies = _all_energies(model)
-    codes = np.empty(count, dtype=np.int64)
-    chunk = max(1, _CHUNK // total)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        g = _noise(seed, start, stop, (total,))
-        codes[start:stop] = np.argmin(energies[None, :] - g, axis=1)
-    return decode_labeling(codes, model.n_voxels, model.n_labels)
+    return decode_labeling(
+        gumbel_max_select_many(_all_energies(model), seed, count),
+        model.n_voxels, model.n_labels)
 
 
 def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,

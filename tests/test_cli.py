@@ -194,6 +194,22 @@ def test_biomarker_rejects_truth_of_wrong_size(tmp_path, capsys):
     assert "post_truth.pmt: truth has 13 voxels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truth", [np.full(12, 7, dtype=np.uint32),
+                                   np.full(12, 0.5)])
+def test_biomarker_rejects_truth_labels_out_of_range(tmp_path, capsys,
+                                                     monkeypatch, truth):
+    argv = write_biomarker_inputs(tmp_path)
+    write_tensor(tmp_path / "pre_truth.pmt", truth)
+    monkeypatch.setattr("perturbmpm.cli.run_biomarker_experiment",
+                        lambda *args, **kwargs: pytest.fail("sampled"))
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "pre_truth.pmt: truth labels must lie in [0, 2)" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "r.csv.manifest.txt").exists()
+
+
 def test_seed_flag_outside_philox_keys_is_data_error(model_cfg, tmp_path,
                                                       capsys):
     out = str(tmp_path / "s.pmt")

@@ -225,6 +225,8 @@ delta = 0.05
      "'unary' and 'prob_map' are mutually exclusive"),
     (dict(dims=(4,), n_labels=2, prob_map_paths=("a.pgm",)),
      "prob_map needs 2 images, got 1"),
+    (dict(dims=(4,), n_labels=2, kernels=((1.0, 2.0),)),
+     "kernel: sigmas must be a tuple, got 2.0"),
 ])
 def test_run_config_checks_itself(fields, message):
     with pytest.raises(ConfigError) as exc:

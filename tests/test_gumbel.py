@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from perturbmpm import (EULER_GAMMA, ModelShapeError, SampleSet,
-                        SamplingConfig, build_grid_model, empirical_marginals,
+import perturbmpm.gumbel as gumbel
+from perturbmpm import (EULER_GAMMA, InferenceConfig, MeanField,
+                        ModelShapeError, SampleSet, SamplingConfig,
+                        build_grid_model, empirical_marginals,
                         gumbel_max_select_many, iteration_noise,
                         mean_field_infer, mpm_decode, perturb_and_mpm)
 
@@ -45,6 +49,15 @@ def test_select_single_draw_range():
     assert len(labels) == 2
 
 
+def test_select_many_bitwise_across_budgets(monkeypatch):
+    theta = np.random.default_rng(6).random(7)
+    reference = gumbel_max_select_many(theta, 4, 1000)
+    for budget in (1, 7 * 3, 7 * 100 + 5):
+        monkeypatch.setattr(gumbel, "_BATCH_VALUES", budget)
+        assert np.array_equal(gumbel_max_select_many(theta, 4, 1000),
+                              reference)
+
+
 def test_select_rejects_bad_theta():
     with pytest.raises(ValueError):
         gumbel_max_select_many(np.array([[1.0, 2.0]]), 0, 1)
@@ -69,6 +82,34 @@ def test_sample_set_validation_and_prefix():
         SampleSet(np.array([[0, 2]]), 2)
     with pytest.raises(ModelShapeError):
         SampleSet(np.array([0, 1]), 2)
+
+
+def test_sample_set_copies_only_labels_someone_can_write(monkeypatch):
+    held = np.array([[0, 1], [1, 0]])
+    s = SampleSet(held, 2)
+    held[0, 0] = 1
+    assert s.labels[0, 0] == 0
+    # a read-only view of an array its caller can still write is copied
+    view = held.view()
+    view.setflags(write=False)
+    s = SampleSet(view, 2)
+    held[1, 1] = 1
+    assert s.labels[1, 1] == 0
+    frozen = np.array([[0, 1], [1, 0]])
+    frozen.setflags(write=False)
+    assert SampleSet(frozen, 2).labels is frozen
+    assert SampleSet(frozen, 2).prefix(1).labels.base is frozen
+    # perturb_and_mpm hands its own label array over
+    given = []
+
+    def recording(labels, n_labels):
+        given.append(labels)
+        return SampleSet(labels, n_labels)
+
+    monkeypatch.setattr(gumbel, "SampleSet", recording)
+    run = perturb_and_mpm(build_grid_model((4,), 2, np.zeros((4, 2))),
+                          SamplingConfig(5))
+    assert run.labels is given[0]
 
 
 def test_perturb_and_mpm_shapes_and_determinism():
@@ -144,3 +185,45 @@ def test_perturb_and_mpm_bitwise_across_batch_sizes():
     for batch_size in (1, 7, 700):
         run = perturb_and_mpm(model, cfg, batch_size=batch_size)
         assert np.array_equal(run.labels, reference)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: InferenceConfig(convergence_tol=float("nan")), "convergence_tol"),
+    (lambda: InferenceConfig(convergence_tol=float("inf")), "convergence_tol"),
+    (lambda: InferenceConfig(max_iterations=2.5), "max_iterations"),
+    (lambda: InferenceConfig(max_iterations=10.0), "max_iterations"),
+    (lambda: SamplingConfig(n_samples=2.5), "n_samples"),
+])
+def test_library_configs_reject_what_config_files_reject(make, name):
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
+# Arrays of a batch's size (noise, unaries, marginals, messages, lattice
+# channels) that sampling holds at once: about six were measured.
+_LIVE_ARRAYS = 8
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_sampling_peak_is_bounded_by_the_batch_budget(monkeypatch, backend):
+    import scipy.sparse  # noqa: F401  imported before tracing starts
+
+    model = build_grid_model((64, 64), 3,
+                             np.random.default_rng(0).random((4096, 3)),
+                             [(3.0, 3.0)])
+    cfg = SamplingConfig(24, seed=1,
+                         inference=InferenceConfig(backend=backend))
+    monkeypatch.setattr(gumbel, "_BATCH_VALUES", 1 << 17)
+    # the budget splits the 24 samples into batches of 10 or 3
+    per_batch = gumbel._BATCH_VALUES // MeanField(
+        model, cfg.inference).sample_values
+    assert 1 < per_batch < 24
+    tracemalloc.start()
+    try:
+        run = perturb_and_mpm(model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _LIVE_ARRAYS * 8 * gumbel._BATCH_VALUES + run.labels.nbytes
+    assert np.array_equal(run.labels,
+                          perturb_and_mpm(model, cfg, batch_size=1).labels)

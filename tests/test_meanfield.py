@@ -8,7 +8,7 @@ from perturbmpm import (DenseCrfModel, GaussianKernel, InferenceConfig,
                         build_grid_model, check_marginal_field,
                         grid_coordinates, mean_field_infer, mean_field_init,
                         mean_field_step, mpm_decode, perturb_and_mpm)
-from perturbmpm.meanfield import _FILTER_SAMPLES
+import perturbmpm.gumbel as gumbel
 
 
 def grid_model(n=4, weight=1.0, seed=0):
@@ -210,7 +210,12 @@ def lattice_sampling_model():
     return build_grid_model((3, 4), 3, unary, [(1.0, 1.5)])
 
 
-def test_lattice_filter_calls_hold_at_most_filter_samples(monkeypatch):
+def test_lattice_filter_calls_hold_at_most_the_budgets_samples(monkeypatch):
+    model = lattice_sampling_model()
+    cfg = SamplingConfig(100, seed=2,
+                         inference=InferenceConfig(backend="lattice"))
+    monkeypatch.setattr(gumbel, "_BATCH_VALUES",
+                        10 * MeanField(model, cfg.inference).sample_values)
     channels = []
     original = PermutohedralLattice.filter
 
@@ -219,9 +224,8 @@ def test_lattice_filter_calls_hold_at_most_filter_samples(monkeypatch):
         return original(self, values)
 
     monkeypatch.setattr(PermutohedralLattice, "filter", recording)
-    perturb_and_mpm(lattice_sampling_model(), SamplingConfig(
-        100, seed=2, inference=InferenceConfig(backend="lattice")))
-    assert max(channels) == _FILTER_SAMPLES * 3
+    perturb_and_mpm(model, cfg)
+    assert max(channels) == 10 * 3
 
 
 def test_lattice_sampling_bitwise_across_batch_sizes():

@@ -77,6 +77,17 @@ def test_full_order_perturbation_is_exact_gibbs():
     assert total_variation(emp, exact_marginals(dist)) < 0.01
 
 
+def test_full_order_draw_t_is_argmin_of_noise_block_t():
+    from perturbmpm.gumbel import _noise
+
+    model = random_grid_model(4, 2)
+    energies = enumerate_gibbs(model).energies
+    draws = perturb_and_map_full_order_many(model, 5, 30)
+    for t in range(30):
+        code = np.argmin(energies - _noise(5, t, t + 1, (energies.size,))[0])
+        assert np.array_equal(draws[t], decode_labeling(code, 4, 2))
+
+
 def test_order1_many_shares_noise_with_perturbed_mpm():
     model = random_grid_model(4, 6)
     maps = perturb_and_map_order1_many(model, seed=9, count=40)
