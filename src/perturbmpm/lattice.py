@@ -173,8 +173,11 @@ class PermutohedralLattice:
         probes = np.unique(
             np.linspace(0, self.n_points - 1,
                         min(N_PROBES, self.n_points)).astype(int))
-        sq = ((features[probes, None, :] - features[None, :, :]) ** 2).sum(axis=2)
-        exact_mass = np.exp(-0.5 * sq).sum(axis=1)
+        sq = np.zeros((probes.size, self.n_points))
+        for column in features.T:
+            sq += (column[probes, None] - column[None, :]) ** 2
+        sq *= -0.5
+        exact_mass = np.exp(sq, out=sq).sum(axis=1)
         return float(np.median(exact_mass / raw[probes]))
 
 

@@ -5,24 +5,26 @@ The marginal update is the parallel (synchronous) form
     Q'_i(l) = softmax_l( -psi_u(i, l) - sum_k msg_k(i, l) )
     msg_k(i, l) = sum_{j != i} k(i, j) * (1 - Q_j(l))        (Potts)
 
-`MeanField` is the one solver: built once per model and backend, it
-computes every backend's messages with that formula, as the sum over the
-kernels of K applied to P = 1 - Q with the i = j term removed.  The exact
-backend sums every kernel without approximation: a Gaussian over the grid
-coordinates factors into one d x d matrix per grid axis, so its messages
-cost O(N * sum(dims)) per label channel; a kernel over any other features
-joins one dense N x N matrix with a zeroed diagonal, O(N^2) per channel.
-The lattice backend approximates each kernel's sums with a
-permutohedral-lattice filter.
+`MeanField` is the one solver: built once per model and backend, it holds
+one operator per kernel, P -> w K P with the i = j term kept, and computes
+every backend's messages with that formula: a kernel is w at i = j, so the
+messages for P = 1 - Q are sum_k w_k K_k P - (sum_k w_k) P.  On the exact
+backend a Gaussian over the grid coordinates factors into one d x d matrix
+per grid axis longer than 1, so its operator costs O(N * sum(dims)) per
+label channel; a kernel over any other features is its dense N x N matrix,
+O(N^2) per channel.  A matrix over MAX_MATRIX_VALUES entries raises
+CapacityError before it is allocated.  The lattice backend approximates
+each kernel's sums with a permutohedral-lattice filter.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .errors import ModelShapeError
+from .errors import CapacityError, ModelShapeError
 from .lattice import PermutohedralLattice
 from .model import DenseCrfModel, GaussianKernel, kernel_matrix
 
@@ -31,6 +33,9 @@ BACKENDS = ("exact", "lattice")
 # bandwidths apart) are set to zero: each moves a message by less than
 # 1e-307, and subnormal operands slow BLAS down several-fold.
 _TINY = np.finfo(np.float64).tiny
+# Largest d x d axis factor or N x N kernel matrix the exact backend builds:
+# 512 MiB of float64, and building it takes a few such temporaries more.
+MAX_MATRIX_VALUES = 1 << 26
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,116 +64,96 @@ def _softmax_neg(e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lattice_apply(lattice: PermutohedralLattice, q: np.ndarray) -> np.ndarray:
-    """Filter marginals of shape (..., N, m) channel-wise in one call."""
-    stacked = np.moveaxis(q, -2, 0)
+def _lattice_apply(weight, lattice, p: np.ndarray) -> np.ndarray:
+    """w times the filter of fields (..., N, m), channel-wise in one call."""
+    stacked = np.moveaxis(p, -2, 0)
     out = lattice.filter(stacked.reshape(stacked.shape[0], -1))
+    out *= weight
     return np.moveaxis(out.reshape(stacked.shape), 0, -2)
 
 
-def _grid_factors(dims: tuple[int, ...],
-                  kernel: GaussianKernel) -> list[np.ndarray] | None:
-    """Per-axis factors of a kernel whose features are grid_coordinates(dims).
+def _exact_links(dims, n_labels: int, kernel: GaussianKernel) -> list:
+    """Links (matrix, shape) of one kernel's exact operator p -> w K p; p
+    passes through each in turn as matrix @ p.reshape(shape).
 
-    Returns exp(-0.5 ((a - b) / sigma)^2), d x d, for each axis longer
-    than 1 (their product over the axes is the unweighted kernel), or None
-    when the kernel has other features.
+    A kernel over grid_coordinates(dims) has one d x d factor per axis
+    longer than 1, exp(-0.5 ((a - b) / sigma)^2), the first one weighted,
+    with shape (batch, d, trailing voxels x labels).  Any other kernel,
+    and a grid with no axis longer than 1, has its dense N x N matrix.
     """
-    if kernel.features.shape[1] != len(dims):
-        return None
-    grid = kernel.features.reshape(*dims, len(dims))
-    factors = []
-    for axis, (d, sigma) in enumerate(zip(dims, kernel.bandwidths)):
-        coordinate = np.arange(d, dtype=np.float64)
-        shape = [1] * len(dims)
-        shape[axis] = d
-        if not (grid[..., axis] == coordinate.reshape(shape)).all():
-            return None
-        if d > 1:
-            a = coordinate / sigma
-            f = np.exp(-0.5 * (a[:, None] - a[None, :]) ** 2)
-            f[f < _TINY] = 0.0
-            factors.append(f)
-    return factors
+    n = math.prod(dims)
+    grid = kernel.features.reshape(*dims, -1)
+    on_grid = grid.shape[-1] == len(dims) and all(
+        (grid[..., a].swapaxes(a, -1) == np.arange(d)).all()
+        for a, d in enumerate(dims))
+    axes = [a for a, d in enumerate(dims) if d > 1] if on_grid else []
+    size = max((dims[a] for a in axes), default=n)
+    if size * size > MAX_MATRIX_VALUES:
+        raise CapacityError(
+            f"a {size} x {size} kernel matrix exceeds the exact backend's "
+            f"guard of {MAX_MATRIX_VALUES} values; use the lattice backend")
+    if not axes:
+        k = kernel_matrix(kernel)
+        k[k < _TINY] = 0.0
+        return [(k, (-1, n, n_labels))]
+    links = []
+    for a in axes:
+        x = np.arange(dims[a], dtype=np.float64) / kernel.bandwidths[a]
+        f = np.exp(-0.5 * (x[:, None] - x[None, :]) ** 2)
+        f[f < _TINY] = 0.0
+        links.append((kernel.weight * f if a == axes[0] else f,
+                      (-1, dims[a], math.prod(dims[a + 1:]) * n_labels)))
+    return links
+
+
+def _chain(links, p: np.ndarray) -> np.ndarray:
+    """p passed through each (matrix, shape) link in turn."""
+    kp = p
+    for matrix, shape in links:
+        kp = matrix @ kp.reshape(shape)
+    return kp.reshape(p.shape)
 
 
 class MeanField:
     """Parallel mean-field inference on one model with one backend.
 
     Built once per model; `messages`, `step` and `infer` reuse its kernel
-    operators for any number of marginal fields.  On the exact backend a
-    grid kernel keeps its weighted per-axis factors, and every other
-    kernel joins one dense matrix; a kernel on a grid with a single axis
-    longer than 1 has one factor, which is its dense matrix.  On the
-    lattice backend each kernel keeps its permutohedral lattice.
+    operators, one p -> w K p a kernel (a chain of matrices on the exact
+    backend, a weighted lattice filter on the lattice backend), for any
+    number of marginal fields.
     """
 
     def __init__(self, model: DenseCrfModel, cfg: InferenceConfig | None = None):
         self.model = model
         self.cfg = InferenceConfig() if cfg is None else cfg
-        self._dense = None   # summed non-grid kernels, zero diagonal
-        self._grid = []      # (weight, weighted per-axis factors) a kernel
-        self._lattices = []  # (weight, lattice) a kernel
-        # (batch, axis length, trailing voxels x labels) of each long axis,
-        # so one matmul applies that axis's factor to a C-ordered field
-        dims = model.dims
-        self._axis_shapes = [(-1, d, math.prod(dims[a + 1:]) * model.n_labels)
-                             for a, d in enumerate(dims) if d > 1]
-        if self.cfg.backend == "lattice":
-            self._lattices = [
-                (kernel.weight, PermutohedralLattice(kernel.scaled_features()))
-                for kernel in model.kernels]
-            return
+        self._operators = []  # p -> w K p, one a kernel
+        self._vertices = 0    # lattice vertices over every kernel
         for kernel in model.kernels:
-            factors = _grid_factors(dims, kernel)
-            if factors is not None and len(factors) > 1:
-                factors[0] = kernel.weight * factors[0]
-                self._grid.append((kernel.weight, factors))
-                continue
-            if factors:
-                k = kernel.weight * factors[0]
+            if self.cfg.backend == "lattice":
+                lattice = PermutohedralLattice(kernel.scaled_features())
+                self._vertices += lattice.n_lattice
+                self._operators.append(
+                    functools.partial(_lattice_apply, kernel.weight, lattice))
             else:
-                k = kernel_matrix(kernel)
-                k[k < _TINY] = 0.0
-            self._dense = k if self._dense is None else self._dense + k
-        if self._dense is not None:
-            np.fill_diagonal(self._dense, 0.0)
+                self._operators.append(functools.partial(
+                    _chain, _exact_links(model.dims, model.n_labels, kernel)))
+        # a kernel is w at i = j; messages drop those terms as one
+        self._self_weight = sum(kernel.weight for kernel in model.kernels)
 
     @property
     def sample_values(self) -> int:
         """Values one marginal field stacks: m * (N + lattice vertices)."""
-        vertices = sum(lattice.n_lattice for _, lattice in self._lattices)
-        return self.model.n_labels * (self.model.n_voxels + vertices)
-
-    def _terms(self, p: np.ndarray):
-        """Each kernel (the dense ones as one) applied to p without its
-        i = j term, as a fresh array the caller may overwrite."""
-        if self._dense is not None:
-            yield np.matmul(self._dense, p)
-        for weight, factors in self._grid:
-            kp = p
-            for f, shape in zip(factors, self._axis_shapes):
-                kp = np.matmul(f, kp.reshape(shape))
-            kp = kp.reshape(p.shape)
-            kp -= weight * p
-            yield kp
-        for weight, lattice in self._lattices:
-            kp = _lattice_apply(lattice, p)
-            kp -= p
-            kp *= weight
-            yield kp
+        return self.model.n_labels * (self.model.n_voxels + self._vertices)
 
     def messages(self, q: np.ndarray) -> np.ndarray:
         """Summed Potts messages sum_{j != i} k(i, j) (1 - q_j) for
         marginals of shape (..., N, m)."""
-        q = np.asarray(q)
-        total = None
-        for term in self._terms(1.0 - q):
-            if total is None:
-                total = term
-            else:
-                total += term
-        return np.zeros_like(q) if total is None else total
+        p = 1.0 - np.asarray(q)
+        terms = [operator(p) for operator in self._operators]
+        p *= -self._self_weight  # p's buffer becomes the sum
+        for term in terms:
+            p += term
+        return p
 
     def step(self, q: np.ndarray) -> np.ndarray:
         """One parallel mean-field sweep; rows of the result sum to 1."""

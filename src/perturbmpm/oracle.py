@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CapacityError, ModelShapeError
-from .gumbel import _noise, _uniforms, gumbel_max_select_many
+from .gumbel import _BATCH_VALUES, _noise, _uniforms, gumbel_max_select_many
 from .model import DenseCrfModel, pairwise_matrix
 
 MAX_ENUM_STATES = 2 ** 24
@@ -149,16 +149,18 @@ def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,
     base_pair = _all_energies(model.with_unary(np.zeros_like(model.unary)))
     total = len(base_pair)
     n, m = model.n_voxels, model.n_labels
-    states = decode_labeling(np.arange(total), n, m)
     out = np.empty((count, n), dtype=np.int64)
-    chunk = max(1, _CHUNK // total)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
+    batch = max(1, _BATCH_VALUES // total)
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
         perturbed = model.unary[None] - _noise(seed, start, stop, (n, m))
         e = np.broadcast_to(base_pair, (stop - start, total)).copy()
         for i in range(n):
-            e += perturbed[:, i, states[:, i]]
-        out[start:stop] = states[np.argmin(e, axis=1)]
+            # voxel i's label is axis 2 of the codes viewed as
+            # (draw, higher digits, digit i, lower digits)
+            by_digit = e.reshape(stop - start, -1, m, m ** i)
+            by_digit += perturbed[:, i, None, :, None]
+        out[start:stop] = decode_labeling(np.argmin(e, axis=1), n, m)
     return out
 
 

@@ -122,8 +122,12 @@ def test_bad_tensor_is_data_error(tmp_path):
 
 def test_capacity_error_exit_code(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dims = 40\nlabels = 2\n")
+    cfg.write_text("dims = 8193\nlabels = 2\nkernel = 1.0 1.0\n")
     assert main(["oracle-check", "--n", "40"]) == 3
+    # the exact backend's 8193 x 8193 axis factor is over its matrix guard
+    out = tmp_path / "q.pmt"
+    assert main(["infer", "--model", str(cfg), "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_oracle_check_prints_tv(capsys):

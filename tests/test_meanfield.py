@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import softmax
 
-from perturbmpm import (DenseCrfModel, GaussianKernel, InferenceConfig,
-                        MeanField, ModelShapeError, PermutohedralLattice,
-                        SamplingConfig,
+from perturbmpm import (CapacityError, DenseCrfModel, GaussianKernel,
+                        InferenceConfig, MeanField, ModelShapeError,
+                        PermutohedralLattice, SamplingConfig,
                         build_grid_model, check_marginal_field,
                         grid_coordinates, mean_field_infer, mean_field_init,
                         mean_field_step, mpm_decode, perturb_and_mpm)
 import perturbmpm.gumbel as gumbel
+import perturbmpm.meanfield as meanfield
 
 
 def grid_model(n=4, weight=1.0, seed=0):
@@ -82,7 +85,8 @@ def test_grid_kernel_messages_match_brute_force(dims, kernels):
     model = build_grid_model(dims, 3, np.zeros((n, 3)), kernels)
     passer = MeanField(model)
     # no N x N matrix unless one axis holds the whole grid
-    assert (passer._dense is None) == (sum(d > 1 for d in dims) > 1)
+    sizes = [f.shape[0] for op in passer._operators for f, _ in op.args[0]]
+    assert (n in sizes) == (sum(d > 1 for d in dims) <= 1)
     for shape in ((n, 3), (5, n, 3)):
         q = random_marginals(shape, seed=len(shape))
         err = np.abs(passer.messages(q) - brute_force_messages(model, q))
@@ -97,7 +101,7 @@ def test_far_pairs_underflow_to_zero():
                              [(1.0, 1.5), reversed_grid])
     passer = MeanField(model)
     tiny = np.finfo(np.float64).tiny
-    for k in (passer._grid[0][1][0], passer._dense):
+    for k in (op.args[0][0][0] for op in passer._operators):
         assert k.min() == 0.0
         assert np.all((k == 0.0) | (k >= tiny))
     q = random_marginals((180, 2), seed=4)
@@ -115,12 +119,37 @@ def test_non_grid_features_take_dense_path(reorder):
     kernels = [GaussianKernel(0.8, features, (1.5, 2.0)), (1.2, (1.0, 2.5))]
     model = build_grid_model(dims, 3, np.zeros((20, 3)), kernels)
     passer = MeanField(model)
-    assert passer._dense is not None
-    assert len(passer._grid) == 1
+    assert [[f.shape for f, _ in op.args[0]] for op in passer._operators] \
+        == [[(20, 20)], [(4, 4), (5, 5)]]
     for shape in ((20, 3), (4, 20, 3)):
         q = random_marginals(shape, seed=7)
         err = np.abs(passer.messages(q) - brute_force_messages(model, q))
         assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+@pytest.mark.parametrize("dims", [(1,), (1, 1)])
+def test_single_voxel_messages_match_brute_force(dims, backend):
+    model = build_grid_model(dims, 3, np.zeros((1, 3)),
+                             [(1.3, 2.0), (0.4, 0.7)])
+    passer = MeanField(model, InferenceConfig(backend=backend))
+    for shape in ((1, 3), (5, 1, 3)):
+        q = random_marginals(shape, seed=len(shape))
+        err = np.abs(passer.messages(q) - brute_force_messages(model, q))
+        assert err.max() <= 1e-12
+
+
+def test_exact_matrix_over_guard_raises_before_allocating():
+    model = build_grid_model((8193,), 2, np.zeros((8193, 2)), [(1.0, 1.0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            MeanField(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8193 ** 2 > meanfield.MAX_MATRIX_VALUES
+    assert peak < 8 * 8193 ** 2 // 100
 
 
 def test_step_rows_sum_to_one():

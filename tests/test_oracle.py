@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -12,6 +14,7 @@ from perturbmpm import (CapacityError, DenseCrfModel,
                         perturb_and_map_order1_many, perturb_and_mpm,
                         total_variation)
 from perturbmpm.evaluation import random_grid_model
+import perturbmpm.oracle as oracle
 
 
 def test_labeling_codes_round_trip():
@@ -96,6 +99,35 @@ def test_order1_many_shares_noise_with_perturbed_mpm():
     # with a weak kernel most paired decodes coincide
     agreement = np.mean(np.all(maps == mpm.labels, axis=1))
     assert agreement > 0.5
+
+
+def test_order1_draw_t_is_exact_map_of_perturbation_t(monkeypatch):
+    from perturbmpm.gumbel import _noise
+
+    unary = np.random.default_rng(2).random((6, 3))
+    model = build_grid_model((2, 3), 3, unary, [(1.0, 1.0)])
+    monkeypatch.setattr(oracle, "_BATCH_VALUES", 3 * 3 ** 6)  # 3 a batch
+    draws = perturb_and_map_order1_many(model, 5, 10)
+    for t in range(10):
+        noise = _noise(5, t, t + 1, (6, 3))[0]
+        assert np.array_equal(draws[t],
+                              exact_map(model.with_unary(unary - noise)))
+
+
+def test_order1_many_peak_is_one_batch_past_enumeration():
+    unary = np.random.default_rng(1).random((18, 2))
+    model = build_grid_model((18,), 2, unary, [(1.0, 1.0)])
+    peaks = []
+    for run in (lambda: enumerate_gibbs(model),
+                lambda: perturb_and_map_order1_many(model, 0, 20)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # beyond what enumeration holds, one batch of perturbed energies
+    assert peaks[1] <= peaks[0] + 8 * oracle._BATCH_VALUES
 
 
 def test_capacity_guards():
