@@ -45,7 +45,9 @@ def _all_energies(model: DenseCrfModel) -> np.ndarray:
         raise CapacityError(
             f"{model.n_labels}^{model.n_voxels} = {total} labelings exceeds "
             f"the enumeration guard of {MAX_ENUM_STATES}")
-    pair = pairwise_matrix(model) if model.kernels else None
+    # each pair i < j once: the sum over all pairs less the same-label
+    # ones, sum_l (onehot_l @ half) . onehot_l
+    half = np.triu(pairwise_matrix(model), 1) if model.kernels else None
     n = model.n_voxels
     energies = np.empty(total)
     for start in range(0, total, _CHUNK):
@@ -54,10 +56,11 @@ def _all_energies(model: DenseCrfModel) -> np.ndarray:
         e = np.take_along_axis(
             model.unary[None, :, :],
             states[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-        if pair is not None:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e += pair[i, j] * (states[:, i] != states[:, j])
+        if half is not None:
+            e += half.sum()
+            for label in range(model.n_labels):
+                onehot = (states == label).astype(np.float64)
+                e -= ((onehot @ half) * onehot).sum(axis=1)
         energies[start:len(codes) + start] = e
     return energies
 

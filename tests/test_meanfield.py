@@ -301,3 +301,38 @@ def test_messages_without_kernels_keep_shape(backend):
     for shape in ((6, 4), (5, 6, 4)):
         msgs = solver.messages(random_marginals(shape, seed=1))
         assert msgs.shape == shape and not msgs.any()
+
+
+def reduction_softmax_neg(e):
+    """softmax(-e) with numpy's last-axis reductions."""
+    out = np.exp(e.min(-1, keepdims=True) - e)
+    return out / out.sum(-1, keepdims=True)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 9])
+def test_softmax_neg_bitwise_equals_reduction_form(m):
+    rng = np.random.default_rng(m)
+    e = rng.normal(size=(6, 50, m))
+    e[0] *= 1e3
+    e[1, :10, 1:] = e[1, :10, :1]       # rows tied throughout
+    e[1, 10:20, -1] = e[1, 10:20, 0]    # one tie with the first label
+    e[2, :10, m // 2] = np.inf          # a zero-probability label
+    got = meanfield._softmax_neg(e)
+    assert np.array_equal(got, reduction_softmax_neg(e))
+    assert np.all(got[2, :10, m // 2] == 0.0)
+    assert np.array_equal(meanfield._softmax_neg(e[3, 0]),
+                          reduction_softmax_neg(e[3, 0]))
+
+
+@pytest.mark.parametrize("dims, backend, n_samples", [
+    ((32, 32), "exact", 40), ((3, 4), "lattice", 100)])
+def test_sampled_labels_bitwise_equal_reduction_softmax(
+        monkeypatch, dims, backend, n_samples):
+    n = int(np.prod(dims))
+    unary = np.random.default_rng(5).random((n, 3)) * 2.0
+    model = build_grid_model(dims, 3, unary, [(1.5, 1.0), (0.5, 3.0)])
+    cfg = SamplingConfig(n_samples, seed=4,
+                         inference=InferenceConfig(backend=backend))
+    sliced = perturb_and_mpm(model, cfg).labels
+    monkeypatch.setattr(meanfield, "_softmax_neg", reduction_softmax_neg)
+    assert np.array_equal(sliced, perturb_and_mpm(model, cfg).labels)

@@ -40,6 +40,18 @@ def test_enumerated_energies_match_energy_function():
         assert dist.energies[code] == pytest.approx(energy(model, lab))
 
 
+@pytest.mark.parametrize("model", [
+    random_grid_model(12, 4, kernel_weight=2.0),
+    build_grid_model((3, 3), 3, np.random.default_rng(6).random((9, 3)),
+                     [(1.5, 1.0), (0.7, 2.0)])])
+def test_pair_energies_match_energy_function_on_random_labelings(model):
+    energies = oracle._all_energies(model)
+    codes = np.random.default_rng(7).integers(0, len(energies), 200)
+    for code in codes:
+        lab = decode_labeling(code, model.n_voxels, model.n_labels)
+        assert abs(energies[code] - energy(model, lab)) <= 1e-12
+
+
 def test_probabilities_normalised_and_boltzmann():
     model = random_grid_model(5, 2)
     dist = enumerate_gibbs(model)
