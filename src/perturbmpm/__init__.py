@@ -25,10 +25,9 @@ from .metrics import (binary_entropy, entropy_error_bound, entropy_map,
                       voxelwise_total_variation)
 from .model import (DenseCrfModel, GaussianKernel, build_grid_model, energy,
                     grid_coordinates, kernel_matrix, kernel_weight,
-                    pairwise_matrix, potts, unaries_from_probabilities)
-from .oracle import (ExactDistribution, decode_labeling, encode_labeling,
-                     enumerate_gibbs, exact_gibbs_sample_many, exact_map,
-                     exact_marginals, kl_product_vs_exact, n_states,
+                    pairwise_matrix, unaries_from_probabilities)
+from .oracle import (ExactDistribution, decode_labeling, enumerate_gibbs,
+                     exact_map, exact_marginals, kl_product_vs_exact, n_states,
                      perturb_and_map_full_order_many,
                      perturb_and_map_order1_many)
 from .tensorio import (read_pgm, read_tensor, write_manifest, write_pgm,

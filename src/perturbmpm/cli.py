@@ -17,17 +17,17 @@ import numpy as np
 from . import __version__
 from .config import load_model, parse_config
 from .errors import CapacityError, ConfigError, FormatError, ModelShapeError
-from .evaluation import SyntheticExperimentConfig, run_biomarker_experiment, \
-    run_synthetic_experiment
+from .evaluation import SyntheticExperimentConfig, random_grid_model, \
+    run_biomarker_experiment, run_synthetic_experiment
 from .gumbel import SampleSet, SamplingConfig, check_seed, \
     empirical_marginals, perturb_and_mpm
 from .meanfield import BACKENDS, MeanField, mpm_decode
 from .metrics import entropy_map, required_sample_size, total_variation
 from .oracle import enumerate_gibbs, exact_marginals, \
     perturb_and_map_full_order_many
-from .tensorio import entropy_heatmap_image, write_biomarker_csv, \
-    write_error_curve_csv, write_manifest, write_marginals_csv, write_pgm, \
-    write_tensor, write_uncertainty_csv
+from .tensorio import entropy_heatmap_image, read_tensor, \
+    write_biomarker_csv, write_error_curve_csv, write_manifest, \
+    write_marginals_csv, write_pgm, write_tensor, write_uncertainty_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,8 +200,6 @@ def _cmd_synth_experiment(args) -> int:
 
 
 def _cmd_biomarker(args) -> int:
-    from .tensorio import read_tensor
-
     pre_cfg = _resolve(parse_config(args.pre_model), args)
     post_cfg = _resolve(parse_config(args.post_model), args)
     differ = [key for key in _SHARED_KEYS
@@ -247,8 +245,6 @@ def _cmd_biomarker(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    from .evaluation import random_grid_model
-
     model = random_grid_model(args.n, args.seed)
     exact = exact_marginals(enumerate_gibbs(model))
     run = perturb_and_mpm(model, SamplingConfig(args.samples, seed=args.seed))
@@ -285,7 +281,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             check_seed(args.seed)
         return _COMMANDS[args.command](args)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
+        # a MemoryError is numpy refusing an array too large to allocate
         print(f"pmpm: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ConfigError, FormatError, ModelShapeError, ValueError,

@@ -101,11 +101,6 @@ class DenseCrfModel:
         return DenseCrfModel(self.dims, self.n_labels, unary, self.kernels)
 
 
-def potts(label: int, label_prime: int) -> float:
-    """Potts compatibility: 1 if the labels differ, else 0."""
-    return float(label != label_prime)
-
-
 def kernel_weight(kernel: GaussianKernel, i: int, j: int) -> float:
     """Kernel value between voxels i and j; symmetric, in [0, weight]."""
     z = (kernel.features[i] - kernel.features[j]) / kernel.bandwidths

@@ -1,11 +1,13 @@
 """Brute-force ground truth for tiny models.
 
 Everything here enumerates all m^N labelings directly: exact Gibbs
-probabilities, exact marginals, exact MAP, inverse-CDF Gibbs sampling, and
-perturbed-MAP sampling in both the full-order (one Gumbel per labeling,
-exact by the Gumbel-max trick) and order-1 (unaries only) variants.
-Capacity guards keep this at desk scale; it exists to validate the
-approximate samplers, not to be clever.
+probabilities, exact marginals, exact MAP, and perturbed-MAP sampling in
+both the full-order (one Gumbel per labeling, exact by the Gumbel-max
+trick) and order-1 (unaries only) variants.  A labeling's code has voxel i
+as its base-m digit i, voxel 0 least significant, and every table holds one
+value per code in code order; viewed as (m^(N-1-i), m, m^i), its middle
+axis is voxel i's label.  Capacity guards keep this at desk scale; it
+exists to validate the approximate samplers, not to be clever.
 """
 from __future__ import annotations
 
@@ -14,12 +16,11 @@ import dataclasses
 import numpy as np
 
 from .errors import CapacityError, ModelShapeError
-from .gumbel import _BATCH_VALUES, _noise, _uniforms, gumbel_max_select_many
+from .gumbel import _BATCH_VALUES, _noise, gumbel_max_select_many
 from .model import DenseCrfModel, pairwise_matrix
 
 MAX_ENUM_STATES = 2 ** 24
 MAX_PERTURB_STATES = 2 ** 20
-_CHUNK = 1 << 16
 
 
 def n_states(model: DenseCrfModel) -> int:
@@ -33,36 +34,48 @@ def decode_labeling(codes, n_voxels: int, n_labels: int) -> np.ndarray:
     return digits
 
 
-def encode_labeling(labeling: np.ndarray, n_labels: int) -> int:
-    labeling = np.asarray(labeling, dtype=np.int64)
-    return int((labeling * n_labels ** np.arange(labeling.shape[0])).sum())
+def _digit(table: np.ndarray, i: int, m: int) -> np.ndarray:
+    """View of a table whose last axis is in code order as (..., higher
+    digits, digit i, lower digits); writes to it reach the table."""
+    return table.reshape(*table.shape[:-1], -1, m, m ** i)
 
 
-def _all_energies(model: DenseCrfModel) -> np.ndarray:
-    """Energies of every labeling, in labeling-code order."""
+def _pair_energies(model: DenseCrfModel) -> np.ndarray:
+    """Pairwise energy of every labeling, in code order, grown a voxel at a
+    time: voxel j is the leading digit of an (m, m^j) table, and each pair
+    i < j adds k_ij on the labelings where digits i and j differ."""
     total = n_states(model)
     if total > MAX_ENUM_STATES:
         raise CapacityError(
             f"{model.n_labels}^{model.n_voxels} = {total} labelings exceeds "
             f"the enumeration guard of {MAX_ENUM_STATES}")
-    # each pair i < j once: the sum over all pairs less the same-label
-    # ones, sum_l (onehot_l @ half) . onehot_l
-    half = np.triu(pairwise_matrix(model), 1) if model.kernels else None
-    n = model.n_voxels
-    energies = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total))
-        states = decode_labeling(codes, n, model.n_labels)
-        e = np.take_along_axis(
-            model.unary[None, :, :],
-            states[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-        if half is not None:
-            e += half.sum()
-            for label in range(model.n_labels):
-                onehot = (states == label).astype(np.float64)
-                e -= ((onehot @ half) * onehot).sum(axis=1)
-        energies[start:len(codes) + start] = e
-    return energies
+    m = model.n_labels
+    pair = pairwise_matrix(model)
+    differ = 1.0 - np.eye(m)
+    e = np.zeros(1)
+    for j in range(model.n_voxels):
+        grown = np.empty((m, e.size))
+        grown[:] = e
+        for i in range(j):
+            view = _digit(grown, i, m)
+            view += pair[i, j] * differ[:, None, :, None]
+        e = grown.reshape(-1)
+    return e
+
+
+def _add_unaries(e: np.ndarray, unary: np.ndarray) -> np.ndarray:
+    """Add each voxel's unary on its digit of e, in place: e is (m^N,) with
+    unary (N, m), or a batch (B, m^N) with unaries (B, N, m)."""
+    m = unary.shape[-1]
+    for i in range(unary.shape[-2]):
+        view = _digit(e, i, m)
+        view += unary[..., i, None, :, None]
+    return e
+
+
+def _all_energies(model: DenseCrfModel) -> np.ndarray:
+    """Energies of every labeling, in labeling-code order."""
+    return _add_unaries(_pair_energies(model), model.unary)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,16 +110,9 @@ def enumerate_gibbs(model: DenseCrfModel) -> ExactDistribution:
 
 def exact_marginals(dist: ExactDistribution) -> np.ndarray:
     """Per-voxel marginals P(x_i = l) by direct summation."""
-    n, m = dist.n_voxels, dist.n_labels
-    out = np.zeros((n, m))
-    total = len(dist.probabilities)
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total))
-        states = decode_labeling(codes, n, m)
-        probs = dist.probabilities[codes]
-        for i in range(n):
-            out[i] += np.bincount(states[:, i], weights=probs, minlength=m)
-    return out
+    p, m = dist.probabilities, dist.n_labels
+    return np.stack([_digit(p, i, m).sum(axis=(0, 2))
+                     for i in range(dist.n_voxels)])
 
 
 def exact_map(model: DenseCrfModel) -> np.ndarray:
@@ -114,17 +120,6 @@ def exact_map(model: DenseCrfModel) -> np.ndarray:
     energies = _all_energies(model)
     return decode_labeling(int(np.argmin(energies)),
                            model.n_voxels, model.n_labels)
-
-
-def exact_gibbs_sample_many(dist: ExactDistribution, seed: int,
-                            count: int) -> np.ndarray:
-    """Exact Gibbs draws via inverse CDF over the enumerated table; draw t
-    takes its uniform from the seed's counter block t."""
-    cdf = np.cumsum(dist.probabilities)
-    u = _uniforms(seed, 0, count, ())
-    codes = np.searchsorted(cdf, u, side="right")
-    codes = np.minimum(codes, len(cdf) - 1)
-    return decode_labeling(codes, dist.n_voxels, dist.n_labels)
 
 
 def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
@@ -148,21 +143,17 @@ def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,
     Sample t uses draw t of the seed, so a perturb_and_mpm run with the
     same seed sees exactly the same perturbations (paired decodes).
     """
-    # the pairwise energy of every labeling: its energy under zero unaries
-    base_pair = _all_energies(model.with_unary(np.zeros_like(model.unary)))
-    total = len(base_pair)
+    pair = _pair_energies(model)
     n, m = model.n_voxels, model.n_labels
     out = np.empty((count, n), dtype=np.int64)
-    batch = max(1, _BATCH_VALUES // total)
+    batch = max(1, min(count, _BATCH_VALUES // pair.size))
+    # one buffer refilled every batch, so no two batches are alive at once
+    buffer = np.empty((batch, pair.size))
     for start in range(0, count, batch):
         stop = min(start + batch, count)
-        perturbed = model.unary[None] - _noise(seed, start, stop, (n, m))
-        e = np.broadcast_to(base_pair, (stop - start, total)).copy()
-        for i in range(n):
-            # voxel i's label is axis 2 of the codes viewed as
-            # (draw, higher digits, digit i, lower digits)
-            by_digit = e.reshape(stop - start, -1, m, m ** i)
-            by_digit += perturbed[:, i, None, :, None]
+        e = buffer[:stop - start]
+        e[:] = pair
+        _add_unaries(e, model.unary[None] - _noise(seed, start, stop, (n, m)))
         out[start:stop] = decode_labeling(np.argmin(e, axis=1), n, m)
     return out
 

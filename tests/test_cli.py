@@ -130,6 +130,17 @@ def test_capacity_error_exit_code(tmp_path):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_impossible_allocation_is_capacity_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = 128 128\nlabels = 2\nsamples = 100000000\n")
+    out = tmp_path / "o.pmt"
+    # the (samples, voxels) label array would take 11.9 TiB; numpy refuses
+    # the request before anything is sampled
+    assert main(["sample", "--model", str(cfg), "--out", str(out)]) == 3
+    assert "pmpm: capacity error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_oracle_check_prints_tv(capsys):
     assert main(["oracle-check", "--n", "5", "--samples", "2000"]) == 0
     out = capsys.readouterr().out

@@ -3,19 +3,13 @@ import pytest
 
 from perturbmpm import (DenseCrfModel, GaussianKernel, ModelShapeError,
                         build_grid_model, energy, grid_coordinates,
-                        kernel_matrix, kernel_weight, pairwise_matrix, potts,
+                        kernel_matrix, kernel_weight, pairwise_matrix,
                         unaries_from_probabilities)
 
 
 def small_model(weight=1.0):
     unary = np.array([[0.1, 0.9], [0.5, 0.5], [0.8, 0.2]])
     return build_grid_model((3,), 2, unary, [(weight, 1.0)])
-
-
-def test_potts():
-    assert potts(0, 0) == 0.0
-    assert potts(0, 1) == 1.0
-    assert potts(3, 3) == 0.0
 
 
 def test_kernel_weight_symmetric_and_decaying():
