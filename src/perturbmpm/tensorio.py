@@ -13,7 +13,6 @@ Round trips are bitwise exact.
 """
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from pathlib import Path
@@ -39,7 +38,7 @@ def write_tensor(path, array: np.ndarray) -> None:
             raise FormatError(
                 f"integer values must lie in [0, {_U32_MAX}] to be stored "
                 f"as uint32, got [{arr.min()}, {arr.max()}]")
-        arr = arr.astype("<u4")
+        arr = arr.astype("<u4", copy=False)
     code = _DTYPE_CODES.get(arr.dtype)
     if code is None:
         raise FormatError(f"unsupported tensor dtype {array.dtype}")
@@ -47,7 +46,7 @@ def write_tensor(path, array: np.ndarray) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<HHI", VERSION, code, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes())
+        fh.write(arr)  # the contiguous array's own buffer, not a copy
 
 
 def read_tensor(path) -> np.ndarray:
@@ -88,7 +87,7 @@ def write_pgm(path, image: np.ndarray, max_val: int = 255) -> None:
     data = np.clip(np.rint(img), 0, max_val).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{max_val}\n".encode())
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
@@ -138,31 +137,53 @@ def entropy_heatmap_image(entropy: np.ndarray, n_labels: int,
 
 # -- CSV exports ----------------------------------------------------------
 
-def write_marginals_csv(path, marginals: np.ndarray) -> None:
+_CSV_BLOCK = 1 << 14  # values formatted and written at a time
+
+
+def _write_csv(path, header, record, values, keys=()) -> None:
+    """Write `header`, then `record` formatted once per row of `values`.
+
+    Row i of `values` (float64, rows x k) fills the record's last k fields
+    with the repr of its values, after the i-th entry of each key column in
+    `keys` (sliceable sequences of ints, one per row). The bytes are those
+    of csv.writer's default dialect: comma-separated, CRLF line ends,
+    and no field here needs quoting. Rows go `_CSV_BLOCK` values at a
+    time, one str.format map and one write per block.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    step = _CSV_BLOCK // values.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voxel", "label", "probability"])
-        for i, row in enumerate(np.asarray(marginals)):
-            for l, p in enumerate(row):
-                writer.writerow([i, l, repr(float(p))])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(values), step):
+            rows = slice(start, start + step)
+            fh.write("".join(map(record.format, *(k[rows] for k in keys),
+                                 *values[rows].T.tolist())))
+
+
+def write_marginals_csv(path, marginals: np.ndarray) -> None:
+    """One `voxel,label,probability` row per entry of an (N, m) field."""
+    q = np.asarray(marginals)
+    # one record per voxel i: the m lines "i,l,{q[i, l]!r}"
+    record = "".join(f"{{0}},{l},{{{l + 1}!r}}\r\n"
+                     for l in range(q.shape[1]))
+    _write_csv(path, ["voxel", "label", "probability"], record, q,
+               keys=(range(len(q)),))
 
 
 def write_uncertainty_csv(path, entropy: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voxel", "entropy_bits"])
-        for i, h in enumerate(np.asarray(entropy)):
-            writer.writerow([i, repr(float(h))])
+    """One `voxel,entropy_bits` row per voxel of an (N,) map."""
+    h = np.asarray(entropy)
+    _write_csv(path, ["voxel", "entropy_bits"], "{},{!r}\r\n",
+               h.reshape(len(h), 1), keys=(range(len(h)),))
 
 
 def write_error_curve_csv(path, curve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_voxels", "n_samples", "sampled_error",
-                         "mean_field_error"])
-        for row in curve.rows:
-            writer.writerow([row.n_voxels, row.n_samples,
-                             repr(row.sampled_error), repr(row.mean_field_error)])
+    rows = curve.rows
+    _write_csv(path, ["n_voxels", "n_samples", "sampled_error",
+                      "mean_field_error"], "{},{},{!r},{!r}\r\n",
+               np.reshape([(r.sampled_error, r.mean_field_error)
+                           for r in rows], (len(rows), 2)),
+               keys=([r.n_voxels for r in rows], [r.n_samples for r in rows]))
 
 
 def write_biomarker_csv(path, report) -> None:
@@ -170,10 +191,8 @@ def write_biomarker_csv(path, report) -> None:
               "eor", "v_pre_corrected", "v_post_corrected", "eor_corrected",
               "rtv_error", "rtv_error_corrected", "eor_error",
               "eor_error_corrected"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerow([repr(float(getattr(report, f))) for f in fields])
+    _write_csv(path, fields, ",".join(["{!r}"] * len(fields)) + "\r\n",
+               [[getattr(report, f) for f in fields]])
 
 
 # -- manifests ------------------------------------------------------------

@@ -45,6 +45,25 @@ def test_infer_writes_marginals(model_cfg, tmp_path, capsys):
     assert (tmp_path / "q.pmt.manifest.txt").exists()
 
 
+@pytest.mark.parametrize("command, shape", [("infer", (16, 2)),
+                                            ("uncertainty", (16,))])
+def test_csv_values_are_the_tensor_bitwise(model_cfg, tmp_path, command,
+                                           shape):
+    out, csv = tmp_path / "t.pmt", tmp_path / "t.csv"
+    assert main([command, "--model", str(model_cfg), "--out", str(out),
+                 "--csv", str(csv)]) == 0
+    lines = csv.read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    rows = [line.decode().split(",") for line in lines[1:-1]]
+    keys = np.array([[int(k) for k in row[:-1]] for row in rows])
+    values = np.array([float(row[-1]) for row in rows])
+    tensor = read_tensor(out)
+    assert tensor.shape == shape
+    assert np.array_equal(keys, np.argwhere(np.ones(shape, dtype=bool)))
+    assert np.array_equal(values.view(np.uint64),
+                          tensor.ravel().view(np.uint64))
+
+
 def test_infer_reports_iteration_cap(model_cfg, tmp_path, capsys):
     model_cfg.write_text(model_cfg.read_text() + "iterations = 2\n")
     assert main(["infer", "--model", str(model_cfg),

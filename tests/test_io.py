@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,15 @@ def test_pgm_rejects_non_integer_header_fields(tmp_path):
         path.write_bytes(header + bytes(4))
         with pytest.raises(FormatError):
             read_pgm(path)
+
+
+def test_tensor_write_does_not_copy_the_payload(tmp_path):
+    arr = np.random.default_rng(0).random(1 << 21)  # 16 MiB of float64
+    tracemalloc.start()
+    try:
+        write_tensor(tmp_path / "t.pmt", arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert np.array_equal(read_tensor(tmp_path / "t.pmt"), arr)
