@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 
@@ -34,11 +35,16 @@ _UNIFORM_CLAMP = 1e-15
 _WORDS_PER_STEP = 4  # Philox4x64 yields four 64-bit words per counter step
 # Values one sampling batch may stack into one array: 16 MiB of float64.
 _BATCH_VALUES = 1 << 21
+# Values (samples times sample_values) a perturb_and_mpm call must stack
+# before its batches run on several CPUs: smaller batches spend their time
+# in numpy dispatch, which holds the GIL, and each thread adds a malloc arena.
+_SPLIT_VALUES = 1 << 18
 
 
 def check_seed(seed: int) -> None:
     """Raise ValueError unless seed is an integer in [0, 2**64)."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) \
+            or not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -94,7 +100,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         if not isinstance(self.n_samples, (int, np.integer)) \
-                or self.n_samples < 1:
+                or isinstance(self.n_samples, bool) or self.n_samples < 1:
             raise ValueError(
                 f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         check_seed(self.seed)
@@ -141,23 +147,81 @@ class SampleSet:
         return SampleSet(self.labels[:count], self.n_labels)
 
 
+def _workers() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _drain(run, starts, workers: int) -> None:
+    """run(start) for every start, on the calling thread and workers - 1
+    helper threads taking starts from one shared iterator.  The first
+    exception stops every thread from taking more and reaches the caller."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    starts = iter(starts)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def loop():
+        try:
+            while not failed.is_set():
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                run(start)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(loop) for _ in range(workers - 1)]
+        loop()
+    for helper in helpers:
+        helper.result()
+
+
 def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
                     batch_size: int = 2048) -> SampleSet:
     """Draw approximate Gibbs samples: perturb unaries, mean-field, decode.
 
     Batches hold min(batch_size, _BATCH_VALUES // solver.sample_values)
-    samples, at least one.  Iteration t uses draw t of cfg.seed, so the
-    result is reproducible bit-for-bit regardless of batching.
+    samples, at least one.  A call stacking at least _SPLIT_VALUES values
+    whose budget fits a sample per CPU runs its batches on every CPU of
+    the process's affinity mask; its batches then hold at most
+    ceil(T / workers) and _BATCH_VALUES // (workers * sample_values)
+    samples, so the batches in flight together stay within the budget.
+    Iteration t uses draw t of cfg.seed, so the result is reproducible
+    bit-for-bit regardless of batching and threads.
     """
-    solver = MeanField(model, cfg.inference)
+    solver = MeanField(model, cfg.inference)  # shared read-only by threads
     n, m = model.n_voxels, model.n_labels
-    batch = min(batch_size, max(1, _BATCH_VALUES // solver.sample_values))
-    out = np.empty((cfg.n_samples, n), dtype=np.int64)
-    for start in range(0, cfg.n_samples, batch):
-        stop = min(start + batch, cfg.n_samples)
+    t, values = cfg.n_samples, solver.sample_values
+    workers = _workers()
+    if t * values < _SPLIT_VALUES or _BATCH_VALUES // values < workers:
+        workers = 1
+    batch = min(batch_size, -(-t // workers),
+                max(1, _BATCH_VALUES // (workers * values)))
+    out = np.empty((t, n), dtype=np.int64)
+
+    def run(start):  # each batch writes its own rows of out
+        stop = min(start + batch, t)
         q = solver.infer(
             model.unary[None] - _noise(cfg.seed, start, stop, (n, m)))[0]
         out[start:stop] = mpm_decode(q)
+
+    starts = range(0, t, batch)
+    workers = min(workers, len(starts))
+    if workers > 1:
+        _drain(run, starts, workers)
+    else:
+        for start in starts:
+            run(start)
     out.setflags(write=False)
     return SampleSet(out, m)
 

@@ -48,6 +48,7 @@ class InferenceConfig:
 
     def __post_init__(self):
         if not isinstance(self.max_iterations, (int, np.integer)) \
+                or isinstance(self.max_iterations, bool) \
                 or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer >= 1, "
                              f"got {self.max_iterations!r}")

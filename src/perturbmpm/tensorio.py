@@ -30,7 +30,7 @@ _U32_MAX = 2 ** 32 - 1
 
 def write_tensor(path, array: np.ndarray) -> None:
     """Write an array as a PMPM tensor; dtype must be float64 or uint32."""
-    arr = np.ascontiguousarray(array)
+    arr = np.asarray(array, order="C")  # keeps a 0-d array 0-d
     if arr.dtype == np.float64:
         arr = arr.astype("<f8", copy=False)
     elif arr.dtype in (np.uint32, np.int64, np.int32):

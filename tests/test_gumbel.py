@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import perturbmpm.gumbel as gumbel
+from perturbmpm import cli
+from perturbmpm.gumbel import check_seed
 from perturbmpm import (EULER_GAMMA, InferenceConfig, MeanField,
                         ModelShapeError, SampleSet, SamplingConfig,
                         build_grid_model, empirical_marginals,
@@ -227,3 +232,161 @@ def test_sampling_peak_is_bounded_by_the_batch_budget(monkeypatch, backend):
     assert peak <= _LIVE_ARRAYS * 8 * gumbel._BATCH_VALUES + run.labels.nbytes
     assert np.array_equal(run.labels,
                           perturb_and_mpm(model, cfg, batch_size=1).labels)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no affinity mask on this platform")
+def test_workers_are_the_affinity_mask():
+    assert gumbel._workers() == len(os.sched_getaffinity(0))
+
+
+def _force_split(monkeypatch, workers):
+    """Every perturb_and_mpm call whose budget fits a sample per worker
+    runs its batches on `workers` threads."""
+    monkeypatch.setattr(gumbel, "_SPLIT_VALUES", 0)
+    monkeypatch.setattr(gumbel, "_workers", lambda: workers)
+
+
+def test_split_gate(monkeypatch):
+    calls = []
+
+    def serial(run, starts, workers):
+        calls.append(workers)
+        for start in starts:
+            run(start)
+
+    monkeypatch.setattr(gumbel, "_drain", serial)
+    monkeypatch.setattr(gumbel, "_workers", lambda: 2)
+    model = build_grid_model((4,), 2, np.zeros((4, 2)))
+    values = MeanField(model).sample_values
+    monkeypatch.setattr(gumbel, "_SPLIT_VALUES", 10 * values)
+    perturb_and_mpm(model, SamplingConfig(9))  # stacks too little
+    assert calls == []
+    perturb_and_mpm(model, SamplingConfig(10))
+    assert calls == [2]
+    monkeypatch.setattr(gumbel, "_BATCH_VALUES", values)  # one sample fits
+    perturb_and_mpm(model, SamplingConfig(10))
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_threaded_sampling_is_bitwise_serial(monkeypatch, backend):
+    model = build_grid_model((3, 4), 3,
+                             np.random.default_rng(8).random((12, 3)),
+                             [(1.0, 1.5)])
+    cfg = SamplingConfig(20, seed=9,
+                         inference=InferenceConfig(backend=backend))
+    reference = perturb_and_mpm(model, cfg, batch_size=1).labels
+    for workers in (1, 2, 3, 24):  # 24 is more workers than draws
+        _force_split(monkeypatch, workers)
+        for batch_size in (1, 7, 2048):
+            run = perturb_and_mpm(model, cfg, batch_size=batch_size)
+            assert np.array_equal(run.labels, reference)
+
+
+def _record_batches(monkeypatch):
+    """The (start, stop) of every batch perturb_and_mpm draws noise for."""
+    batches = []
+    noise = gumbel._noise
+
+    def recording(seed, start, stop, shape):
+        batches.append((start, stop))
+        return noise(seed, start, stop, shape)
+
+    monkeypatch.setattr(gumbel, "_noise", recording)
+    return batches
+
+
+def test_threads_take_every_batch_once(monkeypatch):
+    _force_split(monkeypatch, 8)  # more workers than cores
+    batches = _record_batches(monkeypatch)
+    model = build_grid_model((4,), 2,
+                             np.random.default_rng(3).random((4, 2)),
+                             [(1.0, 1.0)])
+    cfg = SamplingConfig(400, seed=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = perturb_and_mpm(model, cfg, batch_size=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(start for start, _ in batches) == list(range(400))
+    monkeypatch.setattr(gumbel, "_workers", lambda: 1)
+    assert np.array_equal(run.labels,
+                          perturb_and_mpm(model, cfg, batch_size=1).labels)
+
+
+def _fail_in_a_helper(monkeypatch, exc):
+    """Make the batches helper threads decode raise exc.  The calling
+    thread's batches wait until one has, so a helper always gets one."""
+    raised = threading.Event()
+    decode = gumbel.mpm_decode
+
+    def failing(q):
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(timeout=60)
+            return decode(q)
+        raised.set()
+        raise exc
+
+    _force_split(monkeypatch, 2)
+    monkeypatch.setattr(gumbel, "mpm_decode", failing)
+    return raised
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    raised = _fail_in_a_helper(monkeypatch, RuntimeError("in a helper"))
+    model = build_grid_model((4,), 2, np.zeros((4, 2)))
+    with pytest.raises(RuntimeError, match="in a helper"):
+        perturb_and_mpm(model, SamplingConfig(6), batch_size=1)
+    assert raised.is_set()
+
+
+def test_sample_maps_a_helpers_memory_error_to_exit_3(monkeypatch, tmp_path):
+    raised = _fail_in_a_helper(monkeypatch, MemoryError())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = 4 4\nlabels = 2\nkernel = 1.0 1.0\n"
+                   "samples = 30\nseed = 3\n")
+    out = tmp_path / "s.pmt"
+    assert cli.main(["sample", "--model", str(cfg), "--out", str(out)]) == 3
+    assert raised.is_set()
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_split_sampling_peak_is_bounded_by_the_batch_budget(monkeypatch,
+                                                            backend):
+    import scipy.sparse  # noqa: F401  imported before tracing starts
+
+    model = build_grid_model((64, 64), 3,
+                             np.random.default_rng(0).random((4096, 3)),
+                             [(3.0, 3.0)])
+    cfg = SamplingConfig(24, seed=1,
+                         inference=InferenceConfig(backend=backend))
+    monkeypatch.setattr(gumbel, "_BATCH_VALUES", 1 << 17)
+    _force_split(monkeypatch, 2)
+    per_batch = gumbel._BATCH_VALUES // MeanField(
+        model, cfg.inference).sample_values
+    assert 2 <= per_batch < 24
+    batches = _record_batches(monkeypatch)
+    tracemalloc.start()
+    try:
+        run = perturb_and_mpm(model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two batches in flight share the one budget
+    assert max(stop - start for start, stop in batches) == per_batch // 2
+    assert peak <= _LIVE_ARRAYS * 8 * gumbel._BATCH_VALUES + run.labels.nbytes
+    monkeypatch.setattr(gumbel, "_workers", lambda: 1)
+    assert np.array_equal(run.labels,
+                          perturb_and_mpm(model, cfg, batch_size=1).labels)
+
+
+def test_configs_reject_bools_as_integers():
+    with pytest.raises(ValueError, match="n_samples"):
+        SamplingConfig(True)
+    with pytest.raises(ValueError, match="seed"):
+        SamplingConfig(1, seed=True)
+    with pytest.raises(ValueError, match="seed"):
+        check_seed(False)

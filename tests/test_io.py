@@ -135,3 +135,13 @@ def test_tensor_write_does_not_copy_the_payload(tmp_path):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert np.array_equal(read_tensor(tmp_path / "t.pmt"), arr)
+
+
+@pytest.mark.parametrize("value", [np.float64(2.5), np.uint32(7)])
+def test_tensor_round_trip_0d(tmp_path, value):
+    path = tmp_path / "t.pmt"
+    write_tensor(path, np.array(value))
+    back = read_tensor(path)
+    assert back.shape == ()
+    assert back.dtype == np.array(value).dtype
+    assert back == value

@@ -336,3 +336,29 @@ def test_sampled_labels_bitwise_equal_reduction_softmax(
     sliced = perturb_and_mpm(model, cfg).labels
     monkeypatch.setattr(meanfield, "_softmax_neg", reduction_softmax_neg)
     assert np.array_equal(sliced, perturb_and_mpm(model, cfg).labels)
+
+
+def test_split_lattice_filter_calls_hold_at_most_a_workers_share(monkeypatch):
+    model = lattice_sampling_model()
+    cfg = SamplingConfig(100, seed=2,
+                         inference=InferenceConfig(backend="lattice"))
+    monkeypatch.setattr(gumbel, "_BATCH_VALUES",
+                        10 * MeanField(model, cfg.inference).sample_values)
+    monkeypatch.setattr(gumbel, "_SPLIT_VALUES", 0)
+    monkeypatch.setattr(gumbel, "_workers", lambda: 2)
+    channels = []
+    original = PermutohedralLattice.filter
+
+    def recording(self, values):
+        channels.append(1 if values.ndim == 1 else values.shape[1])
+        return original(self, values)
+
+    monkeypatch.setattr(PermutohedralLattice, "filter", recording)
+    perturb_and_mpm(model, cfg)
+    # two workers: each batch holds at most half the budget's 10 samples
+    assert max(channels) == 5 * 3
+
+
+def test_inference_config_rejects_a_bool_iteration_cap():
+    with pytest.raises(ValueError, match="max_iterations"):
+        InferenceConfig(max_iterations=True)
