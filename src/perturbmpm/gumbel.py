@@ -144,6 +144,10 @@ class SampleSet:
         return self.labels.shape[1]
 
     def prefix(self, count: int) -> "SampleSet":
+        """The first count samples, 0 <= count <= len(self)."""
+        if not 0 <= count <= len(self):
+            raise ValueError(f"prefix count must be in [0, {len(self)}], "
+                             f"got {count!r}")
         return SampleSet(self.labels[:count], self.n_labels)
 
 

@@ -28,6 +28,8 @@ Two departures from the textbook single-pass scheme, both for accuracy:
 * The pipeline's global gain is arbitrary, so it is calibrated once at
   construction against exact Gaussian row masses at N_PROBES probe points.
   Filter outputs are then directly comparable to the brute-force kernel sum.
+  The calibrated filter of ones, each point's row mass, is kept as
+  ``row_mass``.
 """
 from __future__ import annotations
 
@@ -51,8 +53,11 @@ class PermutohedralLattice:
         self.n_points, self.d = features.shape
         scale = np.sqrt(_SPLAT_VARIANCE + _BLUR_VARIANCE * N_BLUR)
         self._build(features * scale)
-        self.gain = 1.0  # _calibrate measures the uncalibrated filter
-        self.gain = self._calibrate(features)
+        self.gain = 1.0  # so that raw is the uncalibrated filter of ones
+        raw = self.filter(np.ones(self.n_points))
+        self.gain = self._calibrate(features, raw)
+        # filter(ones), bitwise: filter returns gain * (slice @ lattice)
+        self.row_mass = self.gain * raw
 
     # -- construction -----------------------------------------------------
 
@@ -167,9 +172,9 @@ class PermutohedralLattice:
 
     # -- calibration ------------------------------------------------------
 
-    def _calibrate(self, features: np.ndarray) -> float:
-        """Match the filter's global gain to exact Gaussian row masses."""
-        raw = self.filter(np.ones(self.n_points))
+    def _calibrate(self, features: np.ndarray, raw: np.ndarray) -> float:
+        """Match the filter's global gain to exact Gaussian row masses,
+        given the uncalibrated filter of ones."""
         probes = np.unique(
             np.linspace(0, self.n_points - 1,
                         min(N_PROBES, self.n_points)).astype(int))

@@ -14,7 +14,12 @@ per grid axis longer than 1, so its operator costs O(N * sum(dims)) per
 label channel; a kernel over any other features is its dense N x N matrix,
 O(N^2) per channel.  A matrix over MAX_MATRIX_VALUES entries raises
 CapacityError before it is allocated.  The lattice backend approximates
-each kernel's sums with a permutohedral-lattice filter.
+each kernel's sums with a permutohedral-lattice filter, and filters only
+m - 1 of the m label channels: P = 1 - Q for row-stochastic Q has rows
+summing to m - 1, so for the linear filter the last channel is
+w K P_m = (m - 1) w K 1 - sum_{l < m} w K P_l, with the row mass K 1 kept
+from the lattice's calibration.  The exact backend filters all m, since
+its cost is per matrix product, not per channel.
 """
 from __future__ import annotations
 
@@ -86,12 +91,23 @@ def _softmax_neg(e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lattice_apply(weight, lattice, p: np.ndarray) -> np.ndarray:
-    """w times the filter of fields (..., N, m), channel-wise in one call."""
-    stacked = np.moveaxis(p, -2, 0)
-    out = lattice.filter(stacked.reshape(stacked.shape[0], -1))
-    out *= weight
-    return np.moveaxis(out.reshape(stacked.shape), 0, -2)
+def _lattice_apply(weight, lattice, mass, p: np.ndarray) -> np.ndarray:
+    """w times the filter of fields (..., N, m) whose rows sum to m - 1.
+
+    The first m - 1 channels are filtered in one call; the last is mass,
+    (m - 1) w K 1, less their sum.
+    """
+    head = np.moveaxis(p[..., :-1], -2, 0)
+    kp = lattice.filter(head.reshape(head.shape[0], -1))
+    kp *= weight
+    out = np.empty((*head.shape[:-1], p.shape[-1]))
+    out[..., :-1] = kp.reshape(head.shape)
+    out = np.moveaxis(out, 0, -2)
+    last = out[..., -1]
+    last[...] = mass
+    for label in range(p.shape[-1] - 1):
+        last -= out[..., label]
+    return out
 
 
 def _exact_links(dims, n_labels: int, kernel: GaussianKernel) -> list:
@@ -141,8 +157,8 @@ class MeanField:
 
     Built once per model; `messages`, `step` and `infer` reuse its kernel
     operators, one p -> w K p a kernel (a chain of matrices on the exact
-    backend, a weighted lattice filter on the lattice backend), for any
-    number of marginal fields.
+    backend, a weighted lattice filter of m - 1 channels on the lattice
+    backend), for any number of marginal fields.
     """
 
     def __init__(self, model: DenseCrfModel, cfg: InferenceConfig | None = None):
@@ -154,8 +170,10 @@ class MeanField:
             if self.cfg.backend == "lattice":
                 lattice = PermutohedralLattice(kernel.scaled_features())
                 self._vertices += lattice.n_lattice
-                self._operators.append(
-                    functools.partial(_lattice_apply, kernel.weight, lattice))
+                mass = ((model.n_labels - 1) * kernel.weight
+                        * lattice.row_mass)
+                self._operators.append(functools.partial(
+                    _lattice_apply, kernel.weight, lattice, mass))
             else:
                 self._operators.append(functools.partial(
                     _chain, _exact_links(model.dims, model.n_labels, kernel)))
@@ -164,12 +182,15 @@ class MeanField:
 
     @property
     def sample_values(self) -> int:
-        """Values one marginal field stacks: m * (N + lattice vertices)."""
-        return self.model.n_labels * (self.model.n_voxels + self._vertices)
+        """Values one marginal field stacks: m * N, plus (m - 1) * the
+        lattice vertices that its filtered channels fill."""
+        m = self.model.n_labels
+        return m * self.model.n_voxels + (m - 1) * self._vertices
 
     def messages(self, q: np.ndarray) -> np.ndarray:
         """Summed Potts messages sum_{j != i} k(i, j) (1 - q_j) for
-        marginals of shape (..., N, m)."""
+        marginals of shape (..., N, m); rows must sum to 1, which the
+        lattice backend's last channel relies on."""
         p = 1.0 - np.asarray(q)
         terms = [operator(p) for operator in self._operators]
         p *= -self._self_weight  # p's buffer becomes the sum

@@ -36,8 +36,10 @@ class GaussianKernel:
     def __post_init__(self):
         features = _frozen_array(np.atleast_2d(self.features), ndim=2)
         bandwidths = _frozen_array(np.atleast_1d(self.bandwidths), ndim=1)
-        if self.weight < 0:
-            raise ModelShapeError("kernel weight must be non-negative")
+        if not 0 <= self.weight < np.inf:  # False for NaN too
+            raise ModelShapeError(
+                f"kernel weight must be finite and non-negative, "
+                f"got {self.weight!r}")
         if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
             raise ModelShapeError("kernel bandwidths must be positive and finite")
         if features.shape[1] != bandwidths.shape[0]:

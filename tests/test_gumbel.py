@@ -89,6 +89,15 @@ def test_sample_set_validation_and_prefix():
         SampleSet(np.array([0, 1]), 2)
 
 
+def test_sample_set_prefix_takes_only_counts_it_holds():
+    s = SampleSet(np.array([[0, 1], [1, 1], [0, 0]]), 2)
+    assert len(s.prefix(0)) == 0
+    assert np.array_equal(s.prefix(3).labels, s.labels)
+    for count in (-1, -3, 4):
+        with pytest.raises(ValueError, match="prefix count"):
+            s.prefix(count)
+
+
 def test_sample_set_copies_only_labels_someone_can_write(monkeypatch):
     held = np.array([[0, 1], [1, 0]])
     s = SampleSet(held, 2)

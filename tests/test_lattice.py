@@ -30,6 +30,11 @@ def test_filter_1d_values_shape():
     assert np.all(out >= 1.0 - 1e-6)
 
 
+def test_row_mass_is_the_filter_of_ones_bitwise():
+    lattice = PermutohedralLattice(grid_coordinates((9, 8)) / 2.0)
+    assert np.array_equal(lattice.row_mass, lattice.filter(np.ones(72)))
+
+
 def test_filter_linear():
     feats = grid_coordinates((6, 6))
     lattice = PermutohedralLattice(feats)

@@ -110,6 +110,14 @@ def test_model_validation():
         GaussianKernel(1.0, np.zeros((2, 1)), np.zeros(1))
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1e-300])
+def test_kernel_rejects_a_weight_the_config_parser_rejects(weight):
+    with pytest.raises(ModelShapeError, match="weight"):
+        GaussianKernel(weight, np.zeros((2, 1)), np.ones(1))
+    with pytest.raises(ModelShapeError, match="weight"):
+        build_grid_model((4,), 2, np.zeros((4, 2)), [(weight, 1.0)])
+
+
 def test_model_arrays_are_immutable():
     model = small_model()
     with pytest.raises(ValueError):
