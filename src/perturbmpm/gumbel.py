@@ -62,9 +62,15 @@ def _uniforms(seed: int, start: int, stop: int, shape) -> np.ndarray:
 
 def _noise(seed: int, start: int, stop: int, shape) -> np.ndarray:
     """Zero-mean Gumbel draws [start, stop) of a seed, (stop - start, *shape)."""
-    u = np.clip(_uniforms(seed, start, stop, shape),
-                _UNIFORM_CLAMP, 1.0 - _UNIFORM_CLAMP)
-    return -np.log(-np.log(u)) - EULER_GAMMA
+    g = _uniforms(seed, start, stop, shape)
+    # -log(-log(u)) - EULER_GAMMA of the clipped u, in u's own buffer
+    np.clip(g, _UNIFORM_CLAMP, 1.0 - _UNIFORM_CLAMP, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    g -= EULER_GAMMA
+    return g
 
 
 def iteration_noise(seed: int, t: int, shape) -> np.ndarray:
@@ -215,8 +221,9 @@ def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
 
     def run(start):  # each batch writes its own rows of out
         stop = min(start + batch, t)
-        q = solver.infer(
-            model.unary[None] - _noise(cfg.seed, start, stop, (n, m)))[0]
+        unaries = _noise(cfg.seed, start, stop, (n, m))
+        np.subtract(model.unary, unaries, out=unaries)
+        q = solver.infer(unaries)[0]
         out[start:stop] = mpm_decode(q)
 
     starts = range(0, t, batch)

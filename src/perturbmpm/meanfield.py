@@ -20,6 +20,16 @@ summing to m - 1, so for the linear filter the last channel is
 w K P_m = (m - 1) w K 1 - sum_{l < m} w K P_l, with the row mass K 1 kept
 from the lattice's calibration.  The exact backend filters all m, since
 its cost is per matrix product, not per channel.
+
+Every per-voxel operation across the label axis iterates voxels
+innermost: the softmax folds its min and sum over the label slices and
+runs its subtract and divide on label-first views in their C order, MPM
+decoding is a strict > fold over the label slices, and the convergence
+test takes each field's max |change| as one segment reduction over the
+flattened batch.  numpy would otherwise run an inner loop m = 2-3
+elements long per voxel.  These are the same elementwise operations in
+the same order, and max and argmax are exact, so the bits are those of
+numpy's last-axis forms.
 """
 from __future__ import annotations
 
@@ -43,6 +53,8 @@ _TINY = np.finfo(np.float64).tiny
 MAX_MATRIX_VALUES = 1 << 26
 # numpy sums a reduced axis of 8 or more terms pairwise, not in order
 _PAIRWISE_LABELS = 8
+# transposes, by ndim, that move the last (label) axis first
+_LABELS_FIRST = tuple((ndim - 1, *range(ndim - 1)) for ndim in range(65))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,30 +76,40 @@ class InferenceConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
 
 
-def _over_labels(ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc reduced over the last (label) axis of m >= 2, kept as a
-    length-1 axis.
+def _over_labels(ufunc, a: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """ufunc reduced over the last (label) axis of a, m >= 2; labels is
+    a's label-first view (_LABELS_FIRST).
 
     Below _PAIRWISE_LABELS labels it folds the label slices in order,
-    elementwise, which numpy does several times faster than reducing a
-    short last axis.  min is exact, and numpy sums fewer than 8 terms in
-    order, so the bits match ufunc.reduce's; from 8 labels its sum is
-    pairwise, and the reduction itself is used.
+    elementwise, so numpy's inner loops run over voxels, not over m
+    labels.  min is exact, and numpy sums fewer than 8 terms in order, so
+    the bits match ufunc.reduce's; from 8 labels its sum is pairwise, and
+    the reduction itself is used.
     """
-    if a.shape[-1] >= _PAIRWISE_LABELS:
-        return ufunc.reduce(a, axis=-1, keepdims=True)
-    out = ufunc(a[..., :1], a[..., 1:2])
-    for label in range(2, a.shape[-1]):
-        ufunc(out, a[..., label:label + 1], out=out)
+    if labels.shape[0] >= _PAIRWISE_LABELS:
+        return ufunc.reduce(a, axis=-1)
+    out = ufunc(labels[0], labels[1], out=...)  # an array even when 0-d
+    for label in range(2, labels.shape[0]):
+        ufunc(out, labels[label], out=out)
     return out
 
 
 def _softmax_neg(e: np.ndarray) -> np.ndarray:
     """softmax(-e) over the last axis (m >= 2 labels), shifted by each
-    row's minimum."""
-    out = _over_labels(np.minimum, e) - e
+    row's minimum.
+
+    The subtract and the divide run on label-first views in their C
+    order, voxels innermost; the output keeps e's label-last layout.
+    """
+    first = _LABELS_FIRST[e.ndim]
+    labels = e.transpose(first)
+    out = np.empty_like(e, order="C")
+    out_labels = out.transpose(first)
+    np.subtract(_over_labels(np.minimum, e, labels), labels,
+                out=out_labels, order="C")
     np.exp(out, out=out)
-    out /= _over_labels(np.add, out)
+    np.divide(out_labels, _over_labels(np.add, out, out_labels),
+              out=out_labels, order="C")
     return out
 
 
@@ -120,10 +142,9 @@ def _exact_links(dims, n_labels: int, kernel: GaussianKernel) -> list:
     and a grid with no axis longer than 1, has its dense N x N matrix.
     """
     n = math.prod(dims)
-    grid = kernel.features.reshape(*dims, -1)
-    on_grid = grid.shape[-1] == len(dims) and all(
-        (grid[..., a].swapaxes(a, -1) == np.arange(d)).all()
-        for a, d in enumerate(dims))
+    grid = kernel.features.T.reshape(-1, *dims)  # axis a: its coordinates
+    on_grid = grid.shape[0] == len(dims) and not np.count_nonzero(
+        grid != np.indices(dims))
     axes = [a for a, d in enumerate(dims) if d > 1] if on_grid else []
     size = max((dims[a] for a in axes), default=n)
     if size * size > MAX_MATRIX_VALUES:
@@ -137,11 +158,23 @@ def _exact_links(dims, n_labels: int, kernel: GaussianKernel) -> list:
     links = []
     for a in axes:
         x = np.arange(dims[a], dtype=np.float64) / kernel.bandwidths[a]
-        f = np.exp(-0.5 * (x[:, None] - x[None, :]) ** 2)
+        f = np.subtract.outer(x, x)
+        f *= f  # bitwise (x_i - x_j) ** 2
+        f *= -0.5
+        np.exp(f, out=f)
         f[f < _TINY] = 0.0
-        links.append((kernel.weight * f if a == axes[0] else f,
-                      (-1, dims[a], math.prod(dims[a + 1:]) * n_labels)))
+        if a == axes[0]:
+            f *= kernel.weight
+        links.append((f, (-1, dims[a], math.prod(dims[a + 1:]) * n_labels)))
     return links
+
+
+def _max_abs_change(new: np.ndarray, old: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+    """max |new - old| over each segment of the flattened fields that
+    starts at starts; the difference lives only inside this call."""
+    d = np.subtract(new, old).reshape(-1)
+    return np.maximum.reduceat(np.abs(d, out=d), starts)
 
 
 def _chain(links, p: np.ndarray) -> np.ndarray:
@@ -204,7 +237,13 @@ class MeanField:
         if q.shape[-2:] != (self.model.n_voxels, self.model.n_labels):
             raise ModelShapeError(
                 f"marginal field shape {q.shape} does not match model")
-        return _softmax_neg(self.model.unary + self.messages(q))
+        return self._sweep(q, self.model.unary)
+
+    def _sweep(self, q: np.ndarray, unaries: np.ndarray) -> np.ndarray:
+        """softmax(-(unaries + messages(q))), the sum taken in place."""
+        e = self.messages(q)
+        e += unaries
+        return _softmax_neg(e)
 
     def infer(self, unaries: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,22 +259,23 @@ class MeanField:
         cfg = self.cfg
         q = _softmax_neg(unaries)
         t = q.shape[0]
+        starts = np.arange(0, q.size, math.prod(q.shape[1:]))
         iterations = np.full(t, cfg.max_iterations, dtype=np.int64)
         active = np.arange(t)
         for it in range(cfg.max_iterations):
             # while every entry is active, skip the gather and the scatter
             every = active.size == t
             q_active = q if every else q[active]
-            u_active = unaries if every else unaries[active]
-            q_new = _softmax_neg(u_active + self.messages(q_active))
-            delta = np.abs(q_new - q_active).max(axis=(1, 2))
+            q_new = self._sweep(q_active, unaries if every else unaries[active])
+            delta = _max_abs_change(q_new, q_active, starts[:active.size])
             if every:
                 q = q_new
             else:
                 q[active] = q_new
             done = delta < cfg.convergence_tol
-            iterations[active[done]] = it + 1
-            active = active[~done]
+            if np.count_nonzero(done):
+                iterations[active[done]] = it + 1
+                active = active[~done]
             if active.size == 0:
                 break
         converged = np.ones(t, dtype=bool)
@@ -262,8 +302,25 @@ def mean_field_infer(model: DenseCrfModel, cfg: InferenceConfig | None = None
 
 
 def mpm_decode(q: np.ndarray) -> np.ndarray:
-    """Per-voxel argmax labels; ties break toward the lowest label index."""
-    return np.argmax(q, axis=-1)
+    """Per-voxel argmax labels of (..., m >= 2) marginals, as np.intp;
+    ties break toward the lowest label index.
+
+    A strict > fold over the label slices, voxels innermost: label l wins
+    where q_l exceeds the running maximum of q_0 .. q_{l-1}.  A NaN never
+    compares greater and makes the running maximum NaN, so a row holding
+    NaN decodes as the argmax of its entries before its first NaN (label 0
+    when that is q_0); np.argmax would return the first NaN's index.
+    """
+    q = np.asarray(q)
+    labels = q.transpose(_LABELS_FIRST[q.ndim])
+    # out=... keeps a 1-d q's result an array, as np.maximum's out= needs
+    out = np.greater(labels[1], labels[0], out=...).astype(np.intp)
+    best = labels[0]
+    for label in range(2, labels.shape[0]):
+        best = np.maximum(best, labels[label - 1])
+        np.maximum(out, np.multiply(labels[label] > best, label,
+                                    dtype=np.intp), out=out)
+    return out
 
 
 def check_marginal_field(q: np.ndarray, atol: float = 1e-9) -> None:

@@ -190,6 +190,22 @@ def test_iteration_noise_is_the_samplers_noise():
     assert np.array_equal(_noise(13, 17, 50, (5, 3)), block[17:])
 
 
+@pytest.mark.parametrize("shape", [(4096, 3), (4095, 3)])
+def test_noise_is_computed_in_the_uniforms_buffer(shape):
+    u = gumbel._uniforms(3, 5, 9, shape)
+    expected = -np.log(-np.log(np.clip(
+        u, gumbel._UNIFORM_CLAMP, 1.0 - gumbel._UNIFORM_CLAMP))) - EULER_GAMMA
+    tracemalloc.start()
+    try:
+        g = gumbel._noise(3, 5, 9, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g, expected)
+    # the uniforms' one buffer, at most 3 padding words a draw over g
+    assert peak < g.nbytes + 4 * 8 * len(g) + 4096
+
+
 def test_perturb_and_mpm_bitwise_across_batch_sizes():
     model = build_grid_model((2, 3), 3,
                              np.random.default_rng(5).random((6, 3)),

@@ -235,6 +235,80 @@ def test_mpm_decode_tie_breaks_low():
     assert mpm_decode(q).tolist() == [0, 1, 0]
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 9])
+def test_mpm_decode_bitwise_equals_argmax(m):
+    rng = np.random.default_rng(m)
+    q = rng.random((4, 30, m))
+    q[0, :5] = 0.5                           # every label tied
+    q[0, 5:10, -1] = q[0, 5:10].max(-1)      # a tie with the first label
+    q[0, 5:10, 0] = q[0, 5:10, -1]
+    top = q[1, :10].max(-1) + 1.0            # a tie between later labels
+    q[1, :10, m // 2] = top
+    q[1, :10, m - 1] = top
+    q[2, :5] = -0.0                          # signed zeros tie too
+    q[2, :5, m - 1] = 0.0
+    for field in (q[1, 3], q[1], q):         # 1-d, 2-d and 3-d
+        got, want = mpm_decode(field), np.argmax(field, axis=-1)
+        assert np.array_equal(got, want)
+        assert np.shape(got) == np.shape(want)
+        assert got.dtype == want.dtype == np.intp
+
+
+def test_mpm_decode_nan_rule():
+    nan = np.nan
+    q = np.array([[nan, 0.2, 0.9],    # a NaN first: label 0
+                  [0.1, nan, 0.9],    # the argmax of the entries before it
+                  [0.1, 0.5, nan],
+                  [0.5, 0.5, nan],
+                  [nan, nan, nan]])
+    assert mpm_decode(q).tolist() == [0, 0, 1, 0, 0]
+    assert mpm_decode(q[:, :2]).tolist() == [0, 0, 1, 0, 0]
+
+
+def reference_infer(solver, unaries):
+    """MeanField.infer as a plain loop: per-sample max |change| by
+    .max(axis=(1, 2)), gathering and scattering the active rows."""
+    cfg = solver.cfg
+    q = reduction_softmax_neg(unaries)
+    t = q.shape[0]
+    iterations = np.full(t, cfg.max_iterations)
+    active = np.arange(t)
+    for it in range(cfg.max_iterations):
+        q_new = reduction_softmax_neg(unaries[active]
+                                      + solver.messages(q[active]))
+        delta = np.abs(q_new - q[active]).max(axis=(1, 2))
+        q[active] = q_new
+        done = delta < cfg.convergence_tol
+        iterations[active[done]] = it + 1
+        active = active[~done]
+        if active.size == 0:
+            break
+    converged = np.ones(t, dtype=bool)
+    converged[active] = False
+    return q, iterations, converged
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_infer_equals_reference_loop(backend):
+    model = build_grid_model((4, 5), 3, np.zeros((20, 3)),
+                             [(0.8, (1.0, 2.0))])
+    rng = np.random.default_rng(4)
+    # unaries from flat to peaked: entries converge at different sweeps
+    unaries = rng.normal(size=(12, 20, 3)) * np.geomspace(
+        0.05, 20.0, 12)[:, None, None]
+    cfg = InferenceConfig(max_iterations=25, convergence_tol=1e-9,
+                          backend=backend)
+    solver = MeanField(model, cfg)
+    got = solver.infer(unaries)
+    want = reference_infer(solver, unaries)
+    assert len(set(got[1].tolist())) >= 4 and got[2].any()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+    for lone in (unaries[:1], unaries[-1:], model.unary[None]):
+        for a, b in zip(solver.infer(lone), reference_infer(solver, lone)):
+            assert np.array_equal(a, b)
+
+
 def test_check_marginal_field_rejects():
     with pytest.raises(ModelShapeError):
         check_marginal_field(np.array([[0.6, 0.6]]))
