@@ -11,7 +11,7 @@ Schema (one `key = value` per line, '#' comments, blank lines ignored):
     samples    = 500             sample count, >= 1
     backend    = lattice         exact | lattice
     threshold  = 0.25            uncertainty threshold in bits, >= 0
-    iterations = 20              mean-field sweep cap, >= 1
+    iterations = 20              mean-field sweep cap, 1 <= cap < 2**63
     tol        = 1e-6            mean-field convergence tolerance, >= 0
     epsilon    = 0.1             optional; with delta, reports the sample
     delta      = 0.05            size needed for that accuracy
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gumbel import SamplingConfig, check_seed
-from .meanfield import BACKENDS, InferenceConfig
+from .meanfield import _ITERATION_LIMIT, BACKENDS, InferenceConfig
 from .metrics import required_sample_size
 from .model import DenseCrfModel, build_grid_model, unaries_from_probabilities
 from .tensorio import read_pgm, read_tensor
@@ -180,6 +180,7 @@ class _Setting:
 
 
 _AT_LEAST_1 = _rule(lambda v: v >= 1, "must be >= 1")
+_INT64_COUNT = _rule(lambda v: v < _ITERATION_LIMIT, "must be < 2**63")
 _NON_NEGATIVE = _rule(lambda v: v >= 0, "must be non-negative")
 _FRACTION = _rule(lambda v: 0 < v < 1, "must lie in (0, 1)")
 # Config keys in file and echo order.
@@ -199,7 +200,8 @@ _SETTINGS = {
     "backend": _Setting("backend", str, _rule(
         lambda v: v in BACKENDS, f"must be one of {', '.join(BACKENDS)}")),
     "threshold": _Setting("threshold", _float, _NON_NEGATIVE),
-    "iterations": _Setting("max_iterations", _int, _AT_LEAST_1),
+    "iterations": _Setting("max_iterations", _int,
+                           lambda v: _AT_LEAST_1(v) or _INT64_COUNT(v)),
     "tol": _Setting("convergence_tol", _float, _NON_NEGATIVE),
     "epsilon": _Setting("epsilon", _float, _FRACTION),
     "delta": _Setting("delta", _float, _FRACTION),

@@ -23,8 +23,11 @@ Two departures from the textbook single-pass scheme, both for accuracy:
   lattice direction, with features pre-scaled by sqrt(0.125 + 0.75 * N_BLUR)
   so the effective bandwidth stays at 1.  More passes give a more Gaussian
   profile; the lattice vertex set is expanded by N_BLUR - 1 neighbour rings
-  (grown breadth-first, one ring at a time) so blurred mass is not
-  truncated.
+  so blurred mass is not truncated.  The rings are grown breadth-first,
+  one at a time, by sorted merging: a ring's neighbour codes are sorted,
+  repeats dropped by comparing each code with the one before it, and the
+  codes not yet grown merged into the sorted vertex set at the positions
+  a binary search finds.  No hash set is built.
 * The pipeline's global gain is arbitrary, so it is calibrated once at
   construction against exact Gaussian row masses at N_PROBES probe points.
   Filter outputs are then directly comparable to the brute-force kernel sum.
@@ -133,7 +136,7 @@ class PermutohedralLattice:
         off_codes = np.array([off @ strides for off in offsets])
 
         codes = (flat_keys - lo) @ strides
-        vertices = _grow(np.unique(codes), off_codes, N_BLUR - 1)
+        vertices = _grow(_distinct(codes), off_codes, N_BLUR - 1)
         n_lattice = self.n_lattice = len(vertices)
 
         # Slice: row i holds the barycentric weights of point i's d+1
@@ -142,20 +145,7 @@ class PermutohedralLattice:
             (bary[:, : d + 1].ravel(), np.searchsorted(vertices, codes),
              np.arange(0, codes.size + 1, d + 1)), shape=(n, n_lattice))
         self._splat = self._slice.T.tocsr()
-        # One blur matrix per lattice axis; row j holds 0.5 at j and 0.25
-        # at each of its two neighbours along the axis that exist.
-        self._blur = []
-        for off in off_codes:
-            cols = [np.arange(n_lattice)]
-            for shifted in (vertices + off, vertices - off):
-                pos = np.minimum(np.searchsorted(vertices, shifted), n_lattice - 1)
-                cols.append(np.where(vertices[pos] == shifted, pos, -1))
-            cols = np.stack(cols, axis=1)
-            found = cols >= 0
-            weights = np.broadcast_to([0.5, 0.25, 0.25], cols.shape)[found]
-            indptr = np.concatenate([[0], np.cumsum(found.sum(axis=1))])
-            self._blur.append(sparse.csr_matrix(
-                (weights, cols[found], indptr), shape=(n_lattice, n_lattice)))
+        self._blur = [_blur_matrix(vertices, off) for off in off_codes]
 
     # -- filtering --------------------------------------------------------
 
@@ -186,19 +176,62 @@ class PermutohedralLattice:
         return float(np.median(exact_mass / raw[probes]))
 
 
-def _grow(seeds: np.ndarray, off_codes: np.ndarray, rings: int) -> np.ndarray:
-    """Sorted codes of every vertex within `rings` lattice steps of `seeds`.
+def _blur_matrix(vertices: np.ndarray, off: int):
+    """The CSR blur along one lattice axis of step code off: row j holds
+    0.5 at j and 0.25 at j's + and - neighbours where they are vertices.
 
-    Breadth-first: ring k+1 is the unique neighbours of ring k minus rings
-    k and k-1 (a neighbour of a ring-k vertex lies in ring k-1, k or k+1),
-    so each round touches only the newest ring, not the whole set.
+    One binary search finds every vertex's + neighbour; the - neighbours
+    are its inverse, since k is the - neighbour of j exactly when j is
+    the + neighbour of k.
+    """
+    from scipy import sparse
+
+    n = vertices.size
+    shifted = vertices + off
+    plus = np.minimum(np.searchsorted(vertices, shifted), n - 1)
+    has_plus = vertices[plus] == shifted
+    plus = plus[has_plus]
+    has_minus = np.zeros(n, dtype=bool)
+    has_minus[plus] = True
+    # row j: j, then its + neighbour, then its - neighbour, where they exist
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(1 + has_plus + has_minus, out=indptr[1:])
+    self_at = indptr[:-1]
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[self_at] = np.arange(n)
+    indices[self_at[has_plus] + 1] = plus
+    # the - neighbour of vertex plus[i] is the i-th vertex with a + one
+    indices[indptr[1:][plus] - 1] = np.flatnonzero(has_plus)
+    data = np.full(indices.size, 0.25)
+    data[self_at] = 0.5
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """codes sorted, each value once: a sort and a comparison of every
+    code with the one before it."""
+    codes = np.sort(codes)
+    keep = np.empty(codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _grow(seeds: np.ndarray, off_codes: np.ndarray, rings: int) -> np.ndarray:
+    """Sorted codes of every vertex within `rings` lattice steps of the
+    sorted, distinct `seeds`.
+
+    Breadth-first, one ring at a time: ring k+1 is the distinct neighbours
+    of ring k that are not yet grown, found by binary search in the sorted
+    grown set and merged into it at those positions, so the set stays
+    sorted and no round hashes or re-sorts it.
     """
     steps = np.concatenate([off_codes, -off_codes])
-    grown = [seeds]
-    previous, ring = seeds[:0], seeds
+    grown = ring = seeds
     for _ in range(rings):
-        nxt = np.unique((ring[:, None] + steps).ravel())
-        nxt = nxt[~np.isin(nxt, ring) & ~np.isin(nxt, previous)]
-        previous, ring = ring, nxt
-        grown.append(ring)
-    return np.sort(np.concatenate(grown))
+        near = _distinct((ring[:, None] + steps).ravel())
+        pos = np.searchsorted(grown, near)
+        new = grown[np.minimum(pos, grown.size - 1)] != near
+        ring = near[new]
+        grown = np.insert(grown, pos[new], ring)
+    return grown

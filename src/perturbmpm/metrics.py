@@ -34,10 +34,12 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def entropy_map(marginals: np.ndarray) -> np.ndarray:
-    """Per-voxel Shannon entropy in bits, with 0 * log 0 := 0."""
+    """Per-voxel Shannon entropy in bits, with 0 * log 0 := 0; a zero
+    entropy is +0.0."""
     p = np.asarray(marginals)
     safe = np.where(p > 0, p, 1.0)
-    return -(p * np.log2(safe)).sum(axis=-1)
+    # 0.0 - s is -s bitwise, except that a sum of zeros gives +0.0, not -0.0
+    return 0.0 - (p * np.log2(safe)).sum(axis=-1)
 
 
 def binary_entropy(p: float) -> float:

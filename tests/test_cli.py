@@ -305,3 +305,16 @@ def test_biomarker_rejects_target_label_out_of_range(tmp_path, capsys, label):
     assert f"--target-label must lie in [0, 2), got {label}" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+@pytest.mark.parametrize("command", ["infer", "uncertainty"])
+def test_an_iteration_cap_beyond_int64_is_a_data_error(
+        model_cfg, tmp_path, capsys, command, backend):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(model_cfg.read_text()
+                   + f"backend = {backend}\niterations = {10 ** 20 - 1}\n")
+    out = tmp_path / "t.pmt"
+    assert main([command, "--model", str(cfg), "--out", str(out)]) == 2
+    assert "iterations: must be < 2**63" in capsys.readouterr().err
+    assert not out.exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from perturbmpm import ConfigError, RunConfig, load_model, parse_config, \
     write_pgm, write_tensor
 from perturbmpm.config import unaries_from_pgm_maps
-from perturbmpm.meanfield import BACKENDS
+from perturbmpm.meanfield import BACKENDS, InferenceConfig
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -232,6 +232,20 @@ def test_run_config_checks_itself(fields, message):
     with pytest.raises(ConfigError) as exc:
         RunConfig(**fields)
     assert str(exc.value).startswith(message)
+
+
+def test_iteration_caps_must_fit_int64(tmp_path):
+    for cap in (2 ** 63, 10 ** 20 - 1):
+        with pytest.raises(ConfigError,
+                           match=r"^iterations: must be < 2\*\*63"):
+            RunConfig(dims=(4,), n_labels=2, max_iterations=cap)
+        with pytest.raises(ValueError, match="max_iterations"):
+            InferenceConfig(max_iterations=cap)
+    with pytest.raises(ValueError, match="max_iterations"):
+        InferenceConfig(max_iterations=np.uint64(2 ** 63))
+    cfg = parse_config(write_cfg(
+        tmp_path, f"dims = 4\nlabels = 2\niterations = {2 ** 63 - 1}\n"))
+    assert cfg.sampling().inference.max_iterations == 2 ** 63 - 1
 
 
 def test_override_is_checked_like_a_file_value(tmp_path):

@@ -114,3 +114,94 @@ def test_frontier_growth_matches_all_rings_growth(features, monkeypatch):
     assert rings == lattice_module.N_BLUR - 1
     assert np.array_equal(vertices, grow_all_rings(seeds, off_codes, rings))
     assert lattice.n_lattice == len(vertices)
+
+
+def bfs_grow(seeds, off_codes, rings):
+    """Every code within `rings` steps of the seeds, by a plain set BFS."""
+    steps = [int(c) for c in off_codes] + [-int(c) for c in off_codes]
+    grown = frontier = {int(c) for c in seeds}
+    for _ in range(rings):
+        frontier = {c + s for c in frontier for s in steps} - grown
+        grown = grown | frontier
+    return np.array(sorted(grown), dtype=np.int64)
+
+
+def lattice_steps(d, span):
+    """The d + 1 lattice axis step codes of a box of side `span`."""
+    strides = span ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    offsets = np.ones((d + 1, d), dtype=np.int64)
+    offsets[np.arange(d), np.arange(d)] = -d
+    return offsets @ strides
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rings", [0, 1, 2, 3])
+def test_grow_equals_a_set_bfs(d, rings):
+    span = 64
+    rng = np.random.default_rng(10 * d + rings)
+    keys = rng.integers(20, 44, size=(25, d))  # repeats and near neighbours
+    seeds = np.unique(keys @ (span ** np.arange(d - 1, -1, -1)))
+    off_codes = lattice_steps(d, span)
+    grown = lattice_module._grow(seeds, off_codes, rings)
+    assert grown.dtype == np.int64
+    assert np.array_equal(grown, bfs_grow(seeds, off_codes, rings))
+
+
+def test_distinct_equals_unique():
+    for codes in (np.array([], dtype=np.int64), np.array([5]),
+                  np.random.default_rng(1).integers(-9, 9, 200)):
+        assert np.array_equal(lattice_module._distinct(codes),
+                              np.unique(codes))
+
+
+def previous_grow(seeds, off_codes, rings):
+    """The ring growth the builder used before sorted merging."""
+    steps = np.concatenate([off_codes, -off_codes])
+    grown = [seeds]
+    previous, ring = seeds[:0], seeds
+    for _ in range(rings):
+        nxt = np.unique((ring[:, None] + steps).ravel())
+        nxt = nxt[~np.isin(nxt, ring) & ~np.isin(nxt, previous)]
+        previous, ring = ring, nxt
+        grown.append(ring)
+    return np.sort(np.concatenate(grown))
+
+
+def previous_blur_matrix(vertices, off):
+    """The blur matrix the builder made with two binary searches."""
+    from scipy import sparse
+
+    n_lattice = len(vertices)
+    cols = [np.arange(n_lattice)]
+    for shifted in (vertices + off, vertices - off):
+        pos = np.minimum(np.searchsorted(vertices, shifted), n_lattice - 1)
+        cols.append(np.where(vertices[pos] == shifted, pos, -1))
+    cols = np.stack(cols, axis=1)
+    found = cols >= 0
+    weights = np.broadcast_to([0.5, 0.25, 0.25], cols.shape)[found]
+    indptr = np.concatenate([[0], np.cumsum(found.sum(axis=1))])
+    return sparse.csr_matrix((weights, cols[found], indptr),
+                             shape=(n_lattice, n_lattice))
+
+
+@pytest.mark.parametrize("features", [
+    grid_coordinates((9, 7)) / 1.5,
+    grid_coordinates((5, 4, 6)) / 0.8,
+    np.random.default_rng(4).normal(0.0, 2.0, (60, 3)),
+])
+def test_builder_equals_the_previous_builder(features, monkeypatch):
+    lattice = PermutohedralLattice(features)
+    monkeypatch.setattr(lattice_module, "_distinct", np.unique)
+    monkeypatch.setattr(lattice_module, "_grow", previous_grow)
+    monkeypatch.setattr(lattice_module, "_blur_matrix", previous_blur_matrix)
+    previous = PermutohedralLattice(features)
+    assert lattice.n_lattice == previous.n_lattice
+    assert lattice.gain == previous.gain
+    assert np.array_equal(lattice.row_mass, previous.row_mass)
+    pairs = [(lattice._slice, previous._slice),
+             (lattice._splat, previous._splat),
+             *zip(lattice._blur, previous._blur, strict=True)]
+    for got, want in pairs:
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)

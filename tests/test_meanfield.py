@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -455,3 +456,82 @@ def test_split_lattice_filter_calls_hold_at_most_a_workers_share(monkeypatch):
 def test_inference_config_rejects_a_bool_iteration_cap():
     with pytest.raises(ValueError, match="max_iterations"):
         InferenceConfig(max_iterations=True)
+
+
+
+def _record_filter_blocks(monkeypatch):
+    """The channel count of every lattice filter call, None for 1-D."""
+    blocks = []
+    original = PermutohedralLattice.filter
+
+    def recording(self, values):
+        blocks.append(None if values.ndim == 1 else values.shape[1])
+        return original(self, values)
+
+    monkeypatch.setattr(PermutohedralLattice, "filter", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("m, t", [(3, 1), (2, 3), (6, 1), (2, 5)])
+def test_vector_filters_are_bitwise_one_call(monkeypatch, m, t):
+    c = (m - 1) * t  # 2, 3 or 5 filtered channels
+    lattice = PermutohedralLattice(grid_coordinates((9, 8)) / 2.0)
+    mass = (m - 1) * 0.7 * lattice.row_mass
+    q = softmax(np.random.default_rng(c + m).normal(size=(t, 72, m)), -1)
+    p = 1.0 - q
+    blocks = _record_filter_blocks(monkeypatch)
+    monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", 0)
+    one_call = meanfield._lattice_apply(0.7, lattice, mass, p)
+    monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", c)
+    vectors = meanfield._lattice_apply(0.7, lattice, mass, p)
+    assert np.array_equal(vectors, one_call)
+    assert blocks == [c] + [None] * c
+
+
+@pytest.mark.parametrize("dims, scale, c, want", [
+    ((9, 8), 2.0, 1, [None]), ((9, 8), 2.0, 2, [None, None]),
+    ((9, 8), 2.0, 3, [3]), ((3, 4), 1.5, 2, [2])])
+def test_vector_filters_need_few_channels_and_a_large_lattice(
+        monkeypatch, dims, scale, c, want):
+    lattice = PermutohedralLattice(grid_coordinates(dims) / scale)
+    assert (lattice.n_lattice >= meanfield._VECTOR_VERTICES) \
+        == (dims == (9, 8))
+    n = int(np.prod(dims))
+    blocks = _record_filter_blocks(monkeypatch)
+    meanfield._lattice_apply(1.0, lattice, c * lattice.row_mass,
+                             np.full((1, n, c + 1), c / (c + 1)))
+    assert blocks == want
+
+
+def test_split_sampling_starts_no_threads_in_its_filters(monkeypatch):
+    model = build_grid_model((9, 8), 3,
+                             np.random.default_rng(6).random((72, 3)),
+                             [(1.0, 2.0)])
+    cfg = SamplingConfig(12, seed=3,
+                         inference=InferenceConfig(backend="lattice"))
+    reference = perturb_and_mpm(model, cfg, batch_size=1).labels
+    monkeypatch.setattr(gumbel, "_SPLIT_VALUES", 0)
+    monkeypatch.setattr(gumbel, "_workers", lambda: 2)
+    monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", 64)
+    inside = threading.local()
+    apply, start = meanfield._lattice_apply, threading.Thread.start
+    starts = []  # True for a thread started inside a lattice filter
+
+    def marked_apply(*args):
+        inside.on = True
+        try:
+            return apply(*args)
+        finally:
+            inside.on = False
+
+    def recording_start(thread):
+        starts.append(getattr(inside, "on", False))
+        start(thread)
+
+    monkeypatch.setattr(meanfield, "_lattice_apply", marked_apply)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    blocks = _record_filter_blocks(monkeypatch)
+    run = perturb_and_mpm(model, cfg, batch_size=3)
+    assert starts == [False]  # the sampling split's helper only
+    assert set(blocks) == {None}  # every filter ran as vectors
+    assert np.array_equal(run.labels, reference)

@@ -6,6 +6,7 @@ import pytest
 from perturbmpm import (binary_entropy, entropy_error_bound, entropy_map,
                         hamming_loss, required_sample_size, total_variation,
                         voxelwise_total_variation)
+from perturbmpm.tensorio import write_uncertainty_csv
 
 
 def test_hamming_loss():
@@ -33,6 +34,19 @@ def test_entropy_map_bits():
     assert h[2] == pytest.approx(binary_entropy(0.25))
     uniform4 = np.full((3, 4), 0.25)
     assert np.allclose(entropy_map(uniform4), 2.0)
+
+
+def test_zero_entropies_are_positive_zero(tmp_path):
+    marg = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.25, 0.25],
+                     [0.0, 1.0, 0.0]])
+    h = entropy_map(marg)
+    assert not np.any(np.signbit(h))
+    assert h[3] == 0.0 and h[2] == 1.5
+    assert not np.signbit(entropy_map(np.array([0.0, 1.0])))  # a lone voxel
+    path = tmp_path / "h.csv"
+    write_uncertainty_csv(path, h)
+    rows = path.read_text().splitlines()
+    assert rows[1:] == ["0,0.0", "1,0.0", "2,1.5", "3,0.0"]
 
 
 def test_binary_entropy():
