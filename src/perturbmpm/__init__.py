@@ -17,9 +17,7 @@ from .gumbel import (EULER_GAMMA, SampleSet, SamplingConfig,
                      empirical_marginals, gumbel_max_select_many,
                      iteration_noise, perturb_and_mpm)
 from .lattice import PermutohedralLattice
-from .meanfield import (InferenceConfig, MeanField, check_marginal_field,
-                        mean_field_infer, mean_field_init, mean_field_step,
-                        mpm_decode)
+from .meanfield import InferenceConfig, MeanField, mean_field_infer, mpm_decode
 from .metrics import (binary_entropy, entropy_error_bound, entropy_map,
                       hamming_loss, required_sample_size, total_variation,
                       voxelwise_total_variation)

@@ -207,8 +207,13 @@ def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
     ceil(T / workers) and _BATCH_VALUES // (workers * sample_values)
     samples, so the batches in flight together stay within the budget.
     Iteration t uses draw t of cfg.seed, so the result is reproducible
-    bit-for-bit regardless of batching and threads.
+    bit-for-bit regardless of batching and threads.  batch_size must be
+    an integer >= 1 (not a bool); anything else raises ValueError.
     """
+    if not isinstance(batch_size, (int, np.integer)) \
+            or isinstance(batch_size, bool) or batch_size < 1:
+        raise ValueError(
+            f"batch_size must be an integer >= 1, got {batch_size!r}")
     solver = MeanField(model, cfg.inference)  # shared read-only by threads
     n, m = model.n_voxels, model.n_labels
     t, values = cfg.n_samples, solver.sample_values

@@ -15,7 +15,11 @@ lattice axis, where a neighbour outside the vertex set is no entry.  A
 filter call is x = S v, N_BLUR rounds of x = B_axis x over the axes, and
 gain * S^T x.  Sparse-times-dense products sum each channel on its own
 in a fixed order, so a column's result does not depend on how many
-columns share the call.
+columns share the call.  The products alternate between two flat
+buffers, the caller's or the filter's own: each zero-fills its output
+and calls scipy's private sparsetools routine, csr_matvec or
+csr_matvecs, that scipy's `matrix @ x` calls on a new zeroed array, so
+the bits are scipy's and no product allocates.
 
 Two departures from the textbook single-pass scheme, both for accuracy:
 
@@ -35,6 +39,8 @@ Two departures from the textbook single-pass scheme, both for accuracy:
   ``row_mass``.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -149,16 +155,47 @@ class PermutohedralLattice:
 
     # -- filtering --------------------------------------------------------
 
-    def filter(self, values: np.ndarray) -> np.ndarray:
-        """Gaussian-filter per-point values; accepts (N,) or (N, c)."""
+    def filter(self, values: np.ndarray, buffers=None) -> np.ndarray:
+        """Gaussian-filter per-point values; accepts (N,) or (N, c).
+
+        buffers are two flat float64 arrays of at least max(L, N) * c
+        values each, L the vertex count, that the filter overwrites; it
+        allocates them when None.  The splat writes into the second, the
+        blurs alternate between the two, and the slice writes the result
+        into the first, which is returned as a view.  values may be a view
+        of the first buffer, never of the second.
+        """
+        from scipy.sparse import _sparsetools
+
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if vals.shape[0] != self.n_points:
             raise ValueError("value count does not match lattice points")
-        lattice = self._splat @ vals
+        c = math.prod(vals.shape[1:])
+        size = self.n_lattice * c
+        if buffers is None:
+            buffers = [np.empty(max(size, vals.size)) for _ in range(2)]
+        # sparsetools writes through raw pointers and checks no bounds
+        for buffer, need in zip(buffers, (max(size, vals.size), size)):
+            if not (isinstance(buffer, np.ndarray) and buffer.ndim == 1
+                    and buffer.dtype == np.float64 and buffer.size >= need
+                    and buffer.flags.c_contiguous and buffer.flags.writeable):
+                raise ValueError("filter buffers must be two writeable, "
+                                 f"C-contiguous float64 vectors of at least "
+                                 f"{max(size, vals.size)} and {size} values")
+        if np.may_share_memory(vals, buffers[1]):
+            raise ValueError("filter values must not share the second buffer")
+        lattice = _product(_sparsetools, self._splat, c, vals.reshape(-1),
+                           buffers[1][:size])
+        spare = buffers[0][:size]
         for _ in range(N_BLUR):
             for blur in self._blur:
-                lattice = blur @ lattice
-        return self.gain * (self._slice @ lattice)
+                lattice, spare = _product(_sparsetools, blur, c, lattice,
+                                          spare), lattice
+        # N_BLUR is even, so the blurs end in the second buffer
+        out = _product(_sparsetools, self._slice, c, lattice,
+                       buffers[0][:vals.size])
+        out *= self.gain
+        return out.reshape(vals.shape)
 
     # -- calibration ------------------------------------------------------
 
@@ -174,6 +211,27 @@ class PermutohedralLattice:
         sq *= -0.5
         exact_mass = np.exp(sq, out=sq).sum(axis=1)
         return float(np.median(exact_mass / raw[probes]))
+
+
+def _product(sparsetools, matrix, c: int, x: np.ndarray, out: np.ndarray
+             ) -> np.ndarray:
+    """out = matrix @ x for a CSR matrix and c columns of dense x, both
+    flat and C-ordered; returns out.
+
+    This is scipy's own product without the allocation: scipy zero-fills
+    a new output and calls the same private sparsetools routine,
+    csr_matvec for one column, (n,) or (n, 1), and csr_matvecs for more,
+    so the bits are the same.
+    """
+    out.fill(0.0)
+    rows, cols = matrix.shape
+    if c == 1:
+        sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices,
+                               matrix.data, x, out)
+    else:
+        sparsetools.csr_matvecs(rows, cols, c, matrix.indptr, matrix.indices,
+                                matrix.data, x, out)
+    return out
 
 
 def _blur_matrix(vertices: np.ndarray, off: int):

@@ -32,6 +32,20 @@ flattened batch.  numpy would otherwise run an inner loop m = 2-3
 elements long per voxel.  These are the same elementwise operations in
 the same order, and max and argmax are exact, so the bits are those of
 numpy's last-axis forms.
+
+A solve runs in one workspace that `infer` allocates per call: the
+marginals q, two flat work buffers of max(T N m, T (m - 1) L) values for
+T fields and the largest lattice's L vertices (L = 0 on the exact
+backend), and one (T, N) buffer for the softmax's row folds; a model of
+two kernels or more adds a third work buffer.  Each kernel operator is
+bound once to the active fields and the buffers (`_chain`,
+`_lattice_apply`), so a sweep allocates nothing: exact links run as
+np.matmul(..., out=) between the work buffers, the lattice's m - 1
+channels are made from q in the first and filtered through both
+(PermutohedralLattice.filter's buffers), and the messages, the unaries,
+the in-place softmax and the convergence test's differences share the
+same two.  Floating-point sums keep their operands and order, so the
+bits are those of the allocating forms.
 """
 from __future__ import annotations
 
@@ -91,9 +105,10 @@ class InferenceConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
 
 
-def _over_labels(ufunc, a: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """ufunc reduced over the last (label) axis of a, m >= 2; labels is
-    a's label-first view (_LABELS_FIRST).
+def _over_labels(ufunc, a: np.ndarray, labels: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """ufunc reduced over the last (label) axis of a into out, m >= 2;
+    labels is a's label-first view (_LABELS_FIRST).
 
     Below _PAIRWISE_LABELS labels it folds the label slices in order,
     elementwise, so numpy's inner loops run over voxels, not over m
@@ -102,65 +117,82 @@ def _over_labels(ufunc, a: np.ndarray, labels: np.ndarray) -> np.ndarray:
     the reduction itself is used.
     """
     if labels.shape[0] >= _PAIRWISE_LABELS:
-        return ufunc.reduce(a, axis=-1)
-    out = ufunc(labels[0], labels[1], out=...)  # an array even when 0-d
+        return ufunc.reduce(a, axis=-1, out=out)
+    ufunc(labels[0], labels[1], out=out)
     for label in range(2, labels.shape[0]):
         ufunc(out, labels[label], out=out)
     return out
 
 
-def _softmax_neg(e: np.ndarray) -> np.ndarray:
+def _softmax_neg(e: np.ndarray, out: np.ndarray,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """softmax(-e) over the last axis (m >= 2 labels), shifted by each
-    row's minimum.
+    row's minimum, written into out (which may be e); scratch, of shape
+    e.shape[:-1] and allocated when None, holds the row minimum and then
+    the row sum.
 
     The subtract and the divide run on label-first views in their C
     order, voxels innermost; the output keeps e's label-last layout.
     """
     first = _LABELS_FIRST[e.ndim]
     labels = e.transpose(first)
-    out = np.empty_like(e, order="C")
-    out_labels = out.transpose(first)
-    np.subtract(_over_labels(np.minimum, e, labels), labels,
+    if scratch is None:
+        scratch = np.empty(e.shape[:-1], out.dtype)
+    out_labels = labels if out is e else out.transpose(first)
+    np.subtract(_over_labels(np.minimum, e, labels, scratch), labels,
                 out=out_labels, order="C")
     np.exp(out, out=out)
-    np.divide(out_labels, _over_labels(np.add, out, out_labels),
+    np.divide(out_labels, _over_labels(np.add, out, out_labels, scratch),
               out=out_labels, order="C")
     return out
 
 
-def _lattice_apply(weight, lattice, mass, p: np.ndarray) -> np.ndarray:
-    """w times the filter of fields (..., N, m) whose rows sum to m - 1.
+def _lattice_apply(weight, lattice, mass, q: np.ndarray, x: np.ndarray,
+                   y: np.ndarray):
+    """Bind one kernel's lattice operator to fields q of shape (..., N, m),
+    whose rows sum to 1, and to the flat work buffers x and y: the
+    function returned writes w times the filter of 1 - q into y, as q's
+    shape, returns that view, and leaves 1 - q in x.
 
-    The first m - 1 channels are filtered by _filter_channels; the last
-    is mass, (m - 1) w K 1, less their sum.
+    The first m - 1 channels 1 - q_l are written straight from q into x
+    and filtered with x and y as the filter's buffers; the last is mass,
+    (m - 1) w K 1, less their sum.  At most _VECTOR_CHANNELS channels, on
+    a lattice of at least _VECTOR_VERTICES vertices, are filtered one at
+    a time, passed 1-D so that scipy runs its single-vector product, each
+    in its own max(L, N)-value segment of both buffers; any other call
+    filters the (N, c) block at once.  The filter treats each channel on
+    its own, so the bits are the same either way.
     """
-    head = np.moveaxis(p[..., :-1], -2, 0)
-    kp = _filter_channels(lattice, head.reshape(head.shape[0], -1))
-    kp *= weight
-    out = np.empty((*head.shape[:-1], p.shape[-1]))
-    out[..., :-1] = kp.reshape(head.shape)
-    out = np.moveaxis(out, 0, -2)
-    last = out[..., -1]
-    last[...] = mass
-    for label in range(p.shape[-1] - 1):
-        last -= out[..., label]
-    return out
-
-
-def _filter_channels(lattice, channels: np.ndarray) -> np.ndarray:
-    """lattice.filter of (N, c) channels: one channel at a time, passed
-    1-D so that scipy runs its single-vector product, when c is at most
-    _VECTOR_CHANNELS and the lattice has at least _VECTOR_VERTICES
-    vertices, else in one call.  The filter treats each channel on its
-    own, so the bits are the same either way.
-    """
-    c = channels.shape[1]
+    *lead, n, m = q.shape
+    c = (m - 1) * math.prod(lead)
     if c > _VECTOR_CHANNELS or lattice.n_lattice < _VECTOR_VERTICES:
-        return lattice.filter(channels)
-    out = np.empty(channels.shape)
-    for k in range(c):
-        out[:, k] = lattice.filter(channels[:, k])
-    return out
+        block = x[:n * c].reshape(n, *lead, m - 1)
+        channels = np.moveaxis(block, 0, -2)  # q's layout, (..., N, m - 1)
+        calls = [(block.reshape(n, c), (x, y))]
+    else:
+        seg = max(lattice.n_lattice, n)
+        channels = x[:c * seg].reshape(*lead, m - 1, seg)[..., :n]
+        channels = channels.swapaxes(-1, -2)
+        calls = [(x[k * seg:k * seg + n],
+                  (x[k * seg:(k + 1) * seg], y[k * seg:(k + 1) * seg]))
+                 for k in range(c)]
+    e = y[:q.size].reshape(q.shape)
+    labels = [e[..., label] for label in range(m)]
+    p = x[:q.size].reshape(q.shape)
+
+    def run():
+        np.subtract(1.0, q[..., :-1], out=channels)
+        for values, buffers in calls:  # each result replaces its values
+            lattice.filter(values, buffers)
+        np.multiply(channels, weight, out=e[..., :-1])
+        last = labels[-1]
+        last[...] = mass
+        for label in labels[:-1]:
+            last -= label
+        np.subtract(1.0, q, out=p)
+        return e
+
+    return run
 
 
 def _exact_links(dims, n_labels: int, kernel: GaussianKernel) -> list:
@@ -200,40 +232,61 @@ def _exact_links(dims, n_labels: int, kernel: GaussianKernel) -> list:
     return links
 
 
-def _max_abs_change(new: np.ndarray, old: np.ndarray,
-                    starts: np.ndarray) -> np.ndarray:
-    """max |new - old| over each segment of the flattened fields that
-    starts at starts; the difference lives only inside this call."""
-    d = np.subtract(new, old).reshape(-1)
-    return np.maximum.reduceat(np.abs(d, out=d), starts)
+def _chain(links, q: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Bind one kernel's exact operator, its (matrix, shape) links, to
+    fields q and to the flat work buffers x and y: the function returned
+    writes w K (1 - q) into y, as q's shape, returns that view, and leaves
+    1 - q in x.
 
-
-def _chain(links, p: np.ndarray) -> np.ndarray:
-    """p passed through each (matrix, shape) link in turn."""
-    kp = p
+    p = 1 - q passes through each link in turn as np.matmul(matrix,
+    p.reshape(shape), out=...), the products alternating between the
+    buffers and starting where the last one lands in y.  A single link
+    leaves 1 - q in x untouched; a longer chain writes it there again.
+    """
+    n = q.size
+    src, dst = (x, y) if len(links) % 2 else (y, x)
+    p = src[:n].reshape(q.shape)
+    products = []
     for matrix, shape in links:
-        kp = matrix @ kp.reshape(shape)
-    return kp.reshape(p.shape)
+        products.append((matrix, src[:n].reshape(shape),
+                         dst[:n].reshape(shape)))
+        src, dst = dst, src
+    left = None if len(links) == 1 else x[:n].reshape(q.shape)
+    e = y[:n].reshape(q.shape)
+
+    def run():
+        np.subtract(1.0, q, out=p)
+        for matrix, a, b in products:
+            np.matmul(matrix, a, out=b)
+        if left is not None:  # the products overwrote p
+            np.subtract(1.0, q, out=left)
+        return e
+
+    return run
 
 
 class MeanField:
     """Parallel mean-field inference on one model with one backend.
 
     Built once per model; `messages`, `step` and `infer` reuse its kernel
-    operators, one p -> w K p a kernel (a chain of matrices on the exact
-    backend, a weighted lattice filter of m - 1 channels on the lattice
-    backend), for any number of marginal fields.
+    operators, one q -> w K (1 - q) a kernel (a chain of matrices on the
+    exact backend, a weighted lattice filter of m - 1 channels on the
+    lattice backend), for any number of marginal fields.  Each call
+    allocates its own work buffers (`_workspace`) and keeps none, so one
+    solver serves any number of threads.
     """
 
     def __init__(self, model: DenseCrfModel, cfg: InferenceConfig | None = None):
         self.model = model
         self.cfg = InferenceConfig() if cfg is None else cfg
-        self._operators = []  # p -> w K p, one a kernel
+        self._operators = []  # q, x, y -> w K (1 - q) in y, one a kernel
         self._vertices = 0    # lattice vertices over every kernel
+        self._widest = 0      # vertices of the largest lattice
         for kernel in model.kernels:
             if self.cfg.backend == "lattice":
                 lattice = PermutohedralLattice(kernel.scaled_features())
                 self._vertices += lattice.n_lattice
+                self._widest = max(self._widest, lattice.n_lattice)
                 mass = ((model.n_labels - 1) * kernel.weight
                         * lattice.row_mass)
                 self._operators.append(functools.partial(
@@ -251,30 +304,64 @@ class MeanField:
         m = self.model.n_labels
         return m * self.model.n_voxels + (m - 1) * self._vertices
 
+    def _workspace(self, fields: int) -> list:
+        """Flat work buffers for `fields` marginal fields: two of
+        max(m N, (m - 1) L) values a field, L the largest lattice's
+        vertices (0 on the exact backend), and a third, for the later
+        kernels' terms, on a model of two kernels or more."""
+        m = self.model.n_labels
+        size = fields * max(m * self.model.n_voxels, (m - 1) * self._widest)
+        return [np.empty(size)
+                for _ in range(2 if len(self._operators) < 2 else 3)]
+
+    def _bind(self, q: np.ndarray, x: np.ndarray, y: np.ndarray,
+              z: np.ndarray | None = None):
+        """Bind the messages of fields q to the flat work buffers x, y and
+        z (z only for two kernels or more): the function returned writes
+        messages(q) into y, as q's shape, and returns that view; x and z
+        are overwritten.  The first kernel's term lands in y beside 1 - q
+        in x, which becomes the self term there; later terms land in z."""
+        e = y[:q.size].reshape(q.shape)
+        p = x[:q.size].reshape(q.shape)
+        weight = -self._self_weight
+        ops = self._operators
+        first = ops[0](q, x, y) if ops else None
+        rest = [op(q, x, z) for op in ops[1:]]
+
+        def run():
+            if first is None:  # no kernel: the self term alone, 0
+                np.subtract(1.0, q, out=e)
+                return np.multiply(e, weight, out=e)
+            first()
+            np.add(e, np.multiply(p, weight, out=p), out=e)
+            for term in rest:
+                np.add(e, term(), out=e)
+            return e
+
+        return run
+
     def messages(self, q: np.ndarray) -> np.ndarray:
         """Summed Potts messages sum_{j != i} k(i, j) (1 - q_j) for
         marginals of shape (..., N, m); rows must sum to 1, which the
         lattice backend's last channel relies on."""
-        p = 1.0 - np.asarray(q)
-        terms = [operator(p) for operator in self._operators]
-        p *= -self._self_weight  # p's buffer becomes the sum
-        for term in terms:
-            p += term
-        return p
+        q = np.asarray(q)
+        work = self._workspace(q.size // (self.model.n_voxels
+                                          * self.model.n_labels))
+        e = self._bind(q, *work)()
+        return e if e.size == work[1].size else e.copy()
 
     def step(self, q: np.ndarray) -> np.ndarray:
         """One parallel mean-field sweep; rows of the result sum to 1."""
         q = np.asarray(q)
-        if q.shape[-2:] != (self.model.n_voxels, self.model.n_labels):
+        n, m = self.model.n_voxels, self.model.n_labels
+        if q.shape[-2:] != (n, m):
             raise ModelShapeError(
                 f"marginal field shape {q.shape} does not match model")
-        return self._sweep(q, self.model.unary)
-
-    def _sweep(self, q: np.ndarray, unaries: np.ndarray) -> np.ndarray:
-        """softmax(-(unaries + messages(q))), the sum taken in place."""
-        e = self.messages(q)
-        e += unaries
-        return _softmax_neg(e)
+        work = self._workspace(q.size // (n * m))
+        e = self._bind(q, *work)()
+        e += self.model.unary
+        _softmax_neg(e, e)
+        return e if e.size == work[1].size else e.copy()
 
     def infer(self, unaries: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,43 +373,68 @@ class MeanField:
         converged) with shapes (T, N, m), (T,) and (T,); an entry that
         never changed by less than the tolerance stops at the iteration
         cap with converged False.
+
+        The solve allocates its workspace once: q, the `_workspace`
+        buffers and one (T, N) buffer for the softmax's label folds, and
+        only reads unaries.  The active entries fill q's first slots; an
+        entry that converges moves behind them once, in the copy that
+        stores its last sweep, and the slots go back to entry order at the
+        end.  Once an active entry sits in another entry's slot, each
+        sweep reads the active unaries through one np.take.
         """
         cfg = self.cfg
-        q = _softmax_neg(unaries)
-        t = q.shape[0]
-        starts = np.arange(0, q.size, math.prod(q.shape[1:]))
+        t = unaries.shape[0]
+        field = math.prod(unaries.shape[1:])
+        q = np.empty(unaries.shape)
+        rows = np.empty(unaries.shape[:-1])
+        _softmax_neg(unaries, q, rows)
+        x, y, *z = self._workspace(t)
+        starts = np.arange(0, q.size, field)
         iterations = np.full(t, cfg.max_iterations, dtype=np.int64)
-        active = np.arange(t)
+        order = np.arange(t)  # the entry each slot holds
+        k = t                 # active entries, in slots [0, k)
+        in_order = True       # order == arange(t)
+        flat = q.reshape(-1)
+
+        def active(k):
+            """Views of the first k slots, flat views of their fields in
+            q, in y (where messages lands) and in x, and their messages."""
+            size = k * field
+            return (q[:k], unaries[:k], rows[:k], starts[:k], flat[:size],
+                    y[:size], x[:size], self._bind(q[:k], x, y, *z))
+
+        qk, uk, rk, sk, qf, ef, d, messages = active(t)
         for it in range(cfg.max_iterations):
-            # while every entry is active, skip the gather and the scatter
-            every = active.size == t
-            q_active = q if every else q[active]
-            q_new = self._sweep(q_active, unaries if every else unaries[active])
-            delta = _max_abs_change(q_new, q_active, starts[:active.size])
-            if every:
-                q = q_new
-            else:
-                q[active] = q_new
-            done = delta < cfg.convergence_tol
-            if np.count_nonzero(done):
-                iterations[active[done]] = it + 1
-                active = active[~done]
-            if active.size == 0:
+            e = messages()
+            e += uk if in_order else np.take(
+                unaries, order[:k], axis=0, out=d.reshape(e.shape),
+                mode="clip")
+            _softmax_neg(e, e, rk)
+            # each entry's max |change|, one segment of the flat fields
+            np.abs(np.subtract(ef, qf, out=d), out=d)
+            done = np.maximum.reduceat(d, sk) < cfg.convergence_tol
+            if not np.count_nonzero(done):
+                qk[...] = e
+                continue
+            slots = order[:k]
+            iterations[slots[done]] = it + 1
+            keep = np.flatnonzero(~done)
+            moved = np.concatenate((keep, np.flatnonzero(done)))
+            np.take(e, moved, axis=0, out=qk, mode="clip")
+            order[:k] = slots[moved]
+            k = keep.size
+            if k == 0:
                 break
+            # moved is the identity when the converged slots were the last
+            in_order = in_order and keep[-1] == k - 1
+            qk, uk, rk, sk, qf, ef, d, messages = active(k)
         converged = np.ones(t, dtype=bool)
-        converged[active] = False
+        converged[order[:k]] = False
+        if not in_order:
+            back = x[:q.size].reshape(q.shape)
+            back[order] = q
+            np.copyto(q, back)
         return q, iterations, converged
-
-
-def mean_field_init(model: DenseCrfModel) -> np.ndarray:
-    """Initial marginals: per-voxel softmax of negative unaries."""
-    return _softmax_neg(model.unary)
-
-
-def mean_field_step(model: DenseCrfModel, q: np.ndarray,
-                    backend: str = "exact") -> np.ndarray:
-    """One parallel mean-field sweep; rows of the result sum to 1."""
-    return MeanField(model, InferenceConfig(backend=backend)).step(q)
 
 
 def mean_field_infer(model: DenseCrfModel, cfg: InferenceConfig | None = None
@@ -353,13 +465,3 @@ def mpm_decode(q: np.ndarray) -> np.ndarray:
                                     dtype=np.intp), out=out)
     return out
 
-
-def check_marginal_field(q: np.ndarray, atol: float = 1e-9) -> None:
-    """Raise if q is not a row-stochastic (N, m) field."""
-    q = np.asarray(q)
-    if q.ndim != 2:
-        raise ModelShapeError("marginal field must be 2-d")
-    if np.any(q < -atol) or np.any(q > 1 + atol):
-        raise ModelShapeError("marginal entries outside [0, 1]")
-    if np.max(np.abs(q.sum(axis=1) - 1.0)) > atol:
-        raise ModelShapeError("marginal rows do not sum to 1")

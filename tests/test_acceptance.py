@@ -129,10 +129,11 @@ def test_06_mean_field_correctness():
             for w in (0.5, 1.0, 2.0):
                 model = random_grid_model(n, seed, kernel_weight=w)
                 dist = pm.enumerate_gibbs(model)
-                q = pm.mean_field_init(model)
+                solver = pm.MeanField(model)
+                q = softmax(-model.unary, axis=1)
                 prev = pm.kl_product_vs_exact(q, model, dist)
                 for _ in range(10):
-                    q = pm.mean_field_step(model, q)
+                    q = solver.step(q)
                     cur = pm.kl_product_vs_exact(q, model, dist)
                     worst_rise = max(worst_rise, cur - prev)
                     prev = cur

@@ -217,6 +217,20 @@ def test_perturb_and_mpm_bitwise_across_batch_sizes():
         assert np.array_equal(run.labels, reference)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1, True, False, 2.0, "8", None])
+def test_perturb_and_mpm_rejects_bad_batch_sizes(batch_size):
+    model = build_grid_model((2, 3), 3, np.zeros((6, 3)), [(1.0, 1.0)])
+    with pytest.raises(ValueError, match="batch_size"):
+        perturb_and_mpm(model, SamplingConfig(5), batch_size=batch_size)
+
+
+def test_perturb_and_mpm_takes_numpy_integer_batch_sizes():
+    model = build_grid_model((2, 3), 3, np.zeros((6, 3)), [(1.0, 1.0)])
+    cfg = SamplingConfig(5, seed=3)
+    assert np.array_equal(perturb_and_mpm(model, cfg, np.int64(2)).labels,
+                          perturb_and_mpm(model, cfg).labels)
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: InferenceConfig(convergence_tol=float("nan")), "convergence_tol"),
     (lambda: InferenceConfig(convergence_tol=float("inf")), "convergence_tol"),

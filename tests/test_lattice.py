@@ -205,3 +205,67 @@ def test_builder_equals_the_previous_builder(features, monkeypatch):
         for part in ("data", "indices", "indptr"):
             a, b = getattr(got, part), getattr(want, part)
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def scipy_filter(lattice, values):
+    """The filter as a chain of scipy's own sparse products."""
+    x = lattice._splat @ values
+    for _ in range(lattice_module.N_BLUR):
+        for blur in lattice._blur:
+            x = blur @ x
+    return lattice.gain * (lattice._slice @ x)
+
+
+# a regular grid, whose rings make L > N, and dense random points, L < N
+LATTICES = {"grid": lambda: grid_coordinates((9, 8)) / 2.0,
+            "dense": lambda: np.random.default_rng(0).random((1000, 2)) * 0.3}
+
+
+@pytest.mark.parametrize("points", sorted(LATTICES))
+@pytest.mark.parametrize("columns", [None, 1, 2, 32])
+def test_buffered_products_equal_scipys(points, columns):
+    """The private sparsetools calls give scipy's own products bitwise,
+    write nothing past their output, and ignore what the buffer held."""
+    from scipy.sparse import _sparsetools
+
+    lattice = PermutohedralLattice(LATTICES[points]())
+    assert (lattice.n_lattice < lattice.n_points) == (points == "dense")
+    tail = () if columns is None else (columns,)
+    c = 1 if columns is None else columns
+    rng = np.random.default_rng(c)
+    for matrix in [lattice._splat, *lattice._blur, lattice._slice]:
+        x = rng.normal(size=(matrix.shape[1], *tail))
+        rows = matrix.shape[0]
+        buffer = np.full(rows * c + 5, np.nan)
+        got = lattice_module._product(_sparsetools, matrix, c, x.reshape(-1),
+                                      buffer[:rows * c])
+        want = matrix @ x
+        assert want.shape == (rows, *tail)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(buffer[rows * c:]).all()
+    values = rng.normal(size=(lattice.n_points, *tail))
+    size = max(lattice.n_lattice, lattice.n_points) * c
+    buffers = (np.full(size, np.nan), np.full(size, np.nan))
+    want = scipy_filter(lattice, values)
+    for got in (lattice.filter(values), lattice.filter(values, buffers)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # values may be a view of the first buffer: the splat reads it first
+    inside = buffers[0][:values.size].reshape(values.shape)
+    inside[...] = values
+    got = lattice.filter(inside, buffers)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_filter_rejects_buffers_it_could_overrun():
+    lattice = PermutohedralLattice(grid_coordinates((9, 8)) / 2.0)
+    values = np.ones((72, 2))
+    size = 2 * lattice.n_lattice
+    good = np.empty(size)
+    for bad in [(np.empty(size - 1), good), (good, np.empty(size - 1)),
+                (np.empty(size, dtype=np.float32), good),
+                (np.empty(2 * size)[::2], good),
+                (np.empty((size, 1)), good)]:
+        with pytest.raises(ValueError, match="buffers"):
+            lattice.filter(values, bad)
+    with pytest.raises(ValueError, match="second buffer"):
+        lattice.filter(good[:144].reshape(72, 2), (np.empty(size), good))

@@ -8,9 +8,8 @@ from scipy.special import softmax
 from perturbmpm import (CapacityError, DenseCrfModel, GaussianKernel,
                         InferenceConfig, MeanField, ModelShapeError,
                         PermutohedralLattice, SamplingConfig,
-                        build_grid_model, check_marginal_field,
-                        grid_coordinates, mean_field_infer, mean_field_init,
-                        mean_field_step, mpm_decode, perturb_and_mpm)
+                        build_grid_model, grid_coordinates, mean_field_infer,
+                        mpm_decode, perturb_and_mpm)
 import perturbmpm.gumbel as gumbel
 import perturbmpm.meanfield as meanfield
 
@@ -21,11 +20,18 @@ def grid_model(n=4, weight=1.0, seed=0):
     return build_grid_model((n,), 2, unary, [(weight, 1.0)])
 
 
+def assert_marginal_field(q, atol=1e-9):
+    """q is a row-stochastic (N, m) field."""
+    assert q.ndim == 2
+    assert np.all(q >= -atol) and np.all(q <= 1 + atol)
+    assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= atol
+
+
 def test_init_is_softmax_of_negated_unaries():
     model = grid_model()
-    q = mean_field_init(model)
+    q = meanfield._softmax_neg(model.unary, np.empty_like(model.unary))
     assert np.allclose(q, softmax(-model.unary, axis=1))
-    check_marginal_field(q)
+    assert_marginal_field(q)
 
 
 def test_zero_kernel_fixed_point_is_softmax():
@@ -46,7 +52,7 @@ def test_single_node_exact():
 
 def test_message_pass_exact_brute_force():
     model = grid_model(n=3, weight=1.3)
-    q = mean_field_init(model)
+    q = softmax(-model.unary, axis=1)
     msgs = MeanField(model).messages(q)
     from perturbmpm import kernel_weight
     for i in range(3):
@@ -174,21 +180,21 @@ def test_exact_matrix_over_guard_raises_before_allocating():
 
 def test_step_rows_sum_to_one():
     model = grid_model(n=6, weight=2.0)
-    q = mean_field_step(model, mean_field_init(model))
-    check_marginal_field(q)
+    q = MeanField(model).step(softmax(-model.unary, axis=1))
+    assert_marginal_field(q)
 
 
 def test_step_rejects_wrong_shape():
     model = grid_model()
     with pytest.raises(ModelShapeError):
-        mean_field_step(model, np.zeros((3, 2)))
+        MeanField(model).step(np.zeros((3, 2)))
 
 
 def test_infer_reaches_fixed_point():
     model = grid_model(n=5, weight=0.8, seed=7)
     cfg = InferenceConfig(max_iterations=200, convergence_tol=1e-12)
     q, n_iter = mean_field_infer(model, cfg)
-    q_next = mean_field_step(model, q)
+    q_next = MeanField(model).step(q)
     assert np.abs(q_next - q).max() < 1e-10
     assert n_iter < 200
 
@@ -310,15 +316,6 @@ def test_infer_equals_reference_loop(backend):
             assert np.array_equal(a, b)
 
 
-def test_check_marginal_field_rejects():
-    with pytest.raises(ModelShapeError):
-        check_marginal_field(np.array([[0.6, 0.6]]))
-    with pytest.raises(ModelShapeError):
-        check_marginal_field(np.array([0.5, 0.5]))
-    with pytest.raises(ModelShapeError):
-        check_marginal_field(np.array([[-0.1, 1.1]]))
-
-
 def test_inference_config_validation():
     with pytest.raises(ValueError):
         InferenceConfig(max_iterations=0)
@@ -342,9 +339,9 @@ def test_lattice_filter_calls_hold_at_most_the_budgets_samples(monkeypatch):
     channels = []
     original = PermutohedralLattice.filter
 
-    def recording(self, values):
+    def recording(self, values, *buffers):
         channels.append(1 if values.ndim == 1 else values.shape[1])
-        return original(self, values)
+        return original(self, values, *buffers)
 
     monkeypatch.setattr(PermutohedralLattice, "filter", recording)
     perturb_and_mpm(model, cfg)
@@ -380,8 +377,9 @@ def test_wrappers_equal_solver_methods_bitwise(backend):
     model = grid_model(n=7, weight=1.5, seed=2)
     cfg = InferenceConfig(max_iterations=30, backend=backend)
     solver = MeanField(model, cfg)
-    q = mean_field_init(model)
-    assert np.array_equal(mean_field_step(model, q, backend), solver.step(q))
+    q = softmax(-model.unary, axis=1)
+    fresh = MeanField(model, InferenceConfig(backend=backend))
+    assert np.array_equal(fresh.step(q), solver.step(q))
     q_one, iterations, _ = solver.infer(model.unary[None])
     q_wrap, n_iter = mean_field_infer(model, cfg)
     assert np.array_equal(q_wrap, q_one[0])
@@ -411,11 +409,14 @@ def test_softmax_neg_bitwise_equals_reduction_form(m):
     e[1, :10, 1:] = e[1, :10, :1]       # rows tied throughout
     e[1, 10:20, -1] = e[1, 10:20, 0]    # one tie with the first label
     e[2, :10, m // 2] = np.inf          # a zero-probability label
-    got = meanfield._softmax_neg(e)
+    got = meanfield._softmax_neg(e, np.empty_like(e))
     assert np.array_equal(got, reduction_softmax_neg(e))
     assert np.all(got[2, :10, m // 2] == 0.0)
-    assert np.array_equal(meanfield._softmax_neg(e[3, 0]),
+    assert np.array_equal(meanfield._softmax_neg(e[3, 0], np.empty(m)),
                           reduction_softmax_neg(e[3, 0]))
+    in_place = e.copy()
+    assert meanfield._softmax_neg(in_place, in_place) is in_place
+    assert np.array_equal(in_place, got)
 
 
 @pytest.mark.parametrize("dims, backend, n_samples", [
@@ -428,7 +429,12 @@ def test_sampled_labels_bitwise_equal_reduction_softmax(
     cfg = SamplingConfig(n_samples, seed=4,
                          inference=InferenceConfig(backend=backend))
     sliced = perturb_and_mpm(model, cfg).labels
-    monkeypatch.setattr(meanfield, "_softmax_neg", reduction_softmax_neg)
+
+    def reduction_into(e, out, scratch=None):
+        out[...] = reduction_softmax_neg(e)
+        return out
+
+    monkeypatch.setattr(meanfield, "_softmax_neg", reduction_into)
     assert np.array_equal(sliced, perturb_and_mpm(model, cfg).labels)
 
 
@@ -443,9 +449,9 @@ def test_split_lattice_filter_calls_hold_at_most_a_workers_share(monkeypatch):
     channels = []
     original = PermutohedralLattice.filter
 
-    def recording(self, values):
+    def recording(self, values, *buffers):
         channels.append(1 if values.ndim == 1 else values.shape[1])
-        return original(self, values)
+        return original(self, values, *buffers)
 
     monkeypatch.setattr(PermutohedralLattice, "filter", recording)
     perturb_and_mpm(model, cfg)
@@ -464,12 +470,23 @@ def _record_filter_blocks(monkeypatch):
     blocks = []
     original = PermutohedralLattice.filter
 
-    def recording(self, values):
+    def recording(self, values, *buffers):
         blocks.append(None if values.ndim == 1 else values.shape[1])
-        return original(self, values)
+        return original(self, values, *buffers)
 
     monkeypatch.setattr(PermutohedralLattice, "filter", recording)
     return blocks
+
+
+def lattice_term(weight, lattice, mass, q):
+    """meanfield._lattice_apply of q in work buffers of the size
+    MeanField._workspace gives q's fields."""
+    *lead, n, m = q.shape
+    size = int(np.prod(lead)) * max(m * n, (m - 1) * lattice.n_lattice)
+    x, y = np.empty(size), np.empty(size)
+    term = meanfield._lattice_apply(weight, lattice, mass, q, x, y)()
+    assert np.array_equal(x[:q.size].reshape(q.shape), 1.0 - q)
+    return term.copy()
 
 
 @pytest.mark.parametrize("m, t", [(3, 1), (2, 3), (6, 1), (2, 5)])
@@ -478,12 +495,11 @@ def test_vector_filters_are_bitwise_one_call(monkeypatch, m, t):
     lattice = PermutohedralLattice(grid_coordinates((9, 8)) / 2.0)
     mass = (m - 1) * 0.7 * lattice.row_mass
     q = softmax(np.random.default_rng(c + m).normal(size=(t, 72, m)), -1)
-    p = 1.0 - q
     blocks = _record_filter_blocks(monkeypatch)
     monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", 0)
-    one_call = meanfield._lattice_apply(0.7, lattice, mass, p)
+    one_call = lattice_term(0.7, lattice, mass, q)
     monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", c)
-    vectors = meanfield._lattice_apply(0.7, lattice, mass, p)
+    vectors = lattice_term(0.7, lattice, mass, q)
     assert np.array_equal(vectors, one_call)
     assert blocks == [c] + [None] * c
 
@@ -498,8 +514,8 @@ def test_vector_filters_need_few_channels_and_a_large_lattice(
         == (dims == (9, 8))
     n = int(np.prod(dims))
     blocks = _record_filter_blocks(monkeypatch)
-    meanfield._lattice_apply(1.0, lattice, c * lattice.row_mass,
-                             np.full((1, n, c + 1), c / (c + 1)))
+    lattice_term(1.0, lattice, c * lattice.row_mass,
+                 np.full((1, n, c + 1), 1 / (c + 1)))
     assert blocks == want
 
 
@@ -518,11 +534,16 @@ def test_split_sampling_starts_no_threads_in_its_filters(monkeypatch):
     starts = []  # True for a thread started inside a lattice filter
 
     def marked_apply(*args):
-        inside.on = True
-        try:
-            return apply(*args)
-        finally:
-            inside.on = False
+        run = apply(*args)
+
+        def marked_run():
+            inside.on = True
+            try:
+                return run()
+            finally:
+                inside.on = False
+
+        return marked_run
 
     def recording_start(thread):
         starts.append(getattr(inside, "on", False))
@@ -535,3 +556,92 @@ def test_split_sampling_starts_no_threads_in_its_filters(monkeypatch):
     assert starts == [False]  # the sampling split's helper only
     assert set(blocks) == {None}  # every filter ran as vectors
     assert np.array_equal(run.labels, reference)
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_infer_equals_reference_loop_when_early_entries_converge_first(
+        backend):
+    model = build_grid_model((4, 5), 3, np.zeros((20, 3)),
+                             [(0.8, (1.0, 2.0))])
+    # unaries from peaked to flat: an entry converges while later ones,
+    # in later slots, are still active
+    unaries = np.random.default_rng(4).normal(size=(12, 20, 3)) \
+        * np.geomspace(20.0, 0.05, 12)[:, None, None]
+    cfg = InferenceConfig(max_iterations=25, convergence_tol=1e-9,
+                          backend=backend)
+    solver = MeanField(model, cfg)
+    got = solver.infer(unaries)
+    want = reference_infer(solver, unaries)
+    assert got[1][0] < got[1].max() and got[2].any() and not got[2].all()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+# Above a solve's workspace, tracemalloc sees numpy's iterator buffers for
+# the strided label views (64 KiB an operand) and the O(T) arrays: 137 KiB
+# at most on these solves.
+_SOLVE_SLACK = 160 << 10
+
+
+def _solve_peak(model, cfg, unaries):
+    """tracemalloc peak of one MeanField.infer batch; the unaries (in
+    sampling, the noise buffer) exist before tracing starts."""
+    solver = MeanField(model, cfg)
+    tracemalloc.start()
+    try:
+        _, iterations, converged = solver.infer(unaries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, iterations, converged
+
+
+def _unaries(t, n, m, part_converged):
+    """Random unaries; for a part-converged batch, from peaked to flat, so
+    that entries converge at different sweeps, early entries first."""
+    u = np.random.default_rng(1).normal(size=(t, n, m))
+    return u * np.geomspace(20.0, 0.05, t)[:, None, None] if part_converged \
+        else u
+
+
+def _assert_part_converged(iterations, converged, part_converged):
+    if part_converged:  # some entry left while later ones stayed active
+        assert converged.any() and not converged.all()
+        assert iterations[0] < iterations.max()
+    else:
+        assert not converged.any()
+
+
+@pytest.mark.parametrize("part_converged", [False, True])
+def test_lattice_solve_holds_q_two_work_buffers_and_a_row_buffer(
+        part_converged):
+    t, m, dims = 16, 3, (64, 64)
+    n = 64 * 64
+    model = build_grid_model(dims, m, np.random.default_rng(0).random((n, m)),
+                             [(0.05 if part_converged else 0.25, 3.0)])
+    vertices = PermutohedralLattice(
+        model.kernels[0].scaled_features()).n_lattice
+    cfg = InferenceConfig(max_iterations=30 if part_converged else 2,
+                          convergence_tol=1e-4, backend="lattice")
+    peak, iterations, converged = _solve_peak(
+        model, cfg, _unaries(t, n, m, part_converged))
+    _assert_part_converged(iterations, converged, part_converged)
+    work = 8 * t * max(m * n, (m - 1) * vertices)  # W1 and W2, each
+    assert peak <= 8 * t * n * m + 2 * work + 8 * t * n + _SOLVE_SLACK
+
+
+@pytest.mark.parametrize("dims, part_converged", [
+    ((128, 128), False), ((64, 64), True)])
+def test_exact_solve_holds_at_most_three_and_a_quarter_fields(
+        dims, part_converged):
+    t, m = 16, 4
+    n = int(np.prod(dims))
+    model = build_grid_model(dims, m, np.random.default_rng(0).random((n, m)),
+                             [(1.0, 1.0)])
+    cfg = InferenceConfig(max_iterations=40 if part_converged else 2,
+                          convergence_tol=1e-4)
+    peak, iterations, converged = _solve_peak(
+        model, cfg, _unaries(t, n, m, part_converged))
+    _assert_part_converged(iterations, converged, part_converged)
+    # q, W1 and W2 of one field each, and the (T, N) row buffer
+    assert peak <= 3.25 * 8 * t * n * m + _SOLVE_SLACK

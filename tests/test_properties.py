@@ -3,11 +3,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import softmax
 
 from perturbmpm import (DenseCrfModel, InferenceConfig,
                         SampleSet, build_grid_model, empirical_marginals,
                         energy, entropy_error_bound, entropy_map,
-                        mean_field_infer, mean_field_init, mean_field_step,
+                        MeanField, mean_field_infer,
                         iteration_noise, pairwise_matrix,
                         required_sample_size, total_variation,
                         voxelwise_total_variation)
@@ -26,7 +27,7 @@ def make_model(unary, weight):
 @given(unary_arrays, st.floats(0, 3))
 def test_step_rows_stochastic(unary, weight):
     model = make_model(unary, weight)
-    q = mean_field_step(model, mean_field_init(model))
+    q = MeanField(model).step(softmax(-model.unary, axis=1))
     assert np.all(q >= 0) and np.all(q <= 1)
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -34,8 +35,8 @@ def test_step_rows_stochastic(unary, weight):
 @given(unary_arrays)
 def test_zero_kernel_step_is_fixed_point(unary):
     model = DenseCrfModel((unary.shape[0],), unary.shape[1], unary)
-    q0 = mean_field_init(model)
-    q1 = mean_field_step(model, q0)
+    q0 = softmax(-model.unary, axis=1)
+    q1 = MeanField(model).step(q0)
     assert np.abs(q1 - q0).max() < 1e-12
 
 
@@ -123,4 +124,4 @@ def test_infer_convergence_flag_consistent(unary, weight):
     q, n_iter = mean_field_infer(model, cfg)
     assert 1 <= n_iter <= 50
     if n_iter < 50:
-        assert np.abs(mean_field_step(model, q) - q).max() < 1e-6
+        assert np.abs(MeanField(model).step(q) - q).max() < 1e-6
