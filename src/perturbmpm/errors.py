@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the allocation guard, shared across the package."""
+
+# Most values one operator may hold: the exact backend's largest d x d axis
+# factor or N x N kernel matrix (512 MiB of float64; building it takes a
+# few such temporaries more), and the lattice's blur operators together.
+MAX_MATRIX_VALUES = 1 << 26
 
 
 class PerturbMpmError(Exception):

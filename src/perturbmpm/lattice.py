@@ -8,18 +8,25 @@ over all points j (including i itself), where features are pre-scaled so the
 Gaussian has unit bandwidth.  The splat/blur/slice scheme runs in O(N * d)
 per value channel instead of O(N^2).
 
-Each stage is a sparse (CSR) matrix built once per lattice: the slice
-S^T (N x L, the d+1 barycentric weights of each point's enclosing
-simplex), the splat S, and one blur matrix 0.5 I + 0.25 (P+ + P-) per
-lattice axis, where a neighbour outside the vertex set is no entry.  A
-filter call is x = S v, N_BLUR rounds of x = B_axis x over the axes, and
-gain * S^T x.  Sparse-times-dense products sum each channel on its own
-in a fixed order, so a column's result does not depend on how many
-columns share the call.  The products alternate between two flat
-buffers, the caller's or the filter's own: each zero-fills its output
-and calls scipy's private sparsetools routine, csr_matvec or
-csr_matvecs, that scipy's `matrix @ x` calls on a new zeroed array, so
-the bits are scipy's and no product allocates.
+Each stage is a CSR operator, arrays (`_Csr`) that numpy builds once per
+lattice: the slice S^T (N x L, the d+1 barycentric weights of each
+point's enclosing simplex), the splat S, its transpose, and one blur
+operator 0.5 I + 0.25 (P+ + P-) per lattice axis, where a neighbour
+outside the vertex set is no entry.  A filter call is x = S v, N_BLUR
+rounds of x = B_axis x over the axes, and gain * S^T x.
+Sparse-times-dense products sum each channel on its own in a fixed
+order, so a column's result does not depend on how many columns share
+the call.  The products alternate between two flat buffers, the
+caller's or the filter's own: each zero-fills its output and calls
+csr_matvec or csr_matvecs from scipy's compiled sparsetools extension,
+the routines that scipy's `matrix @ x` calls on a new zeroed array, so
+the bits are scipy's and no product allocates.  The arrays are those
+scipy's csr_matrix would hold, index dtype included, and the extension
+is loaded on its own (`_sparsetools`): the scipy.sparse package, which
+takes a quarter of a second and 20 MiB to import, is never imported.
+The blur operators may hold at most MAX_MATRIX_VALUES entries together;
+a point set whose lattice would need more raises CapacityError while its
+vertex rings grow, or at the latest before that blur is allocated.
 
 Two departures from the textbook single-pass scheme, both for accuracy:
 
@@ -40,9 +47,16 @@ Two departures from the textbook single-pass scheme, both for accuracy:
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import MAX_MATRIX_VALUES, CapacityError
 
 # Empirical variance of the splat/slice interpolation and of one blur pass,
 # in lattice units (measured from the filter's impulse response).
@@ -50,6 +64,15 @@ _SPLAT_VARIANCE = 0.125
 _BLUR_VARIANCE = 0.75
 N_BLUR = 12
 N_PROBES = 32
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+class _Csr(NamedTuple):
+    """A CSR operator's arrays, as scipy's csr_matrix holds them."""
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
 
 class PermutohedralLattice:
@@ -71,8 +94,6 @@ class PermutohedralLattice:
     # -- construction -----------------------------------------------------
 
     def _build(self, features: np.ndarray) -> None:
-        from scipy import sparse
-
         n, d = features.shape
         # Rotate/scale onto the hyperplane sum(x) = 0 in d+1 dimensions.
         inv_std = np.sqrt(2.0 / 3.0) * (d + 1)
@@ -146,12 +167,24 @@ class PermutohedralLattice:
         n_lattice = self.n_lattice = len(vertices)
 
         # Slice: row i holds the barycentric weights of point i's d+1
-        # enclosing simplex vertices; the splat is its transpose.
-        self._slice = sparse.csr_matrix(
-            (bary[:, : d + 1].ravel(), np.searchsorted(vertices, codes),
-             np.arange(0, codes.size + 1, d + 1)), shape=(n, n_lattice))
-        self._splat = self._slice.T.tocsr()
-        self._blur = [_blur_matrix(vertices, off) for off in off_codes]
+        # enclosing simplex vertices.  The splat is its transpose: the
+        # entries grouped by vertex, in the slice's order within a vertex,
+        # which is the order scipy's .T.tocsr() gives.
+        index = _index_dtype(n, n_lattice, codes.size)
+        columns = np.searchsorted(vertices, codes).astype(index, copy=False)
+        weights = bary[:, : d + 1].ravel()
+        self._slice = _Csr((n, n_lattice),
+                           np.arange(0, codes.size + 1, d + 1, dtype=index),
+                           columns, weights)
+        order = np.argsort(columns, kind="stable")
+        indptr = np.zeros(n_lattice + 1, dtype=index)
+        np.cumsum(np.bincount(columns, minlength=n_lattice), out=indptr[1:])
+        self._splat = _Csr((n_lattice, n), indptr,
+                           (order // (d + 1)).astype(index), weights[order])
+        self._blur = []
+        for off in off_codes:
+            budget = MAX_MATRIX_VALUES - sum(b.data.size for b in self._blur)
+            self._blur.append(_blur_matrix(vertices, off, budget))
 
     # -- filtering --------------------------------------------------------
 
@@ -165,8 +198,7 @@ class PermutohedralLattice:
         into the first, which is returned as a view.  values may be a view
         of the first buffer, never of the second.
         """
-        from scipy.sparse import _sparsetools
-
+        sparsetools = _sparsetools()
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if vals.shape[0] != self.n_points:
             raise ValueError("value count does not match lattice points")
@@ -184,15 +216,15 @@ class PermutohedralLattice:
                                  f"{max(size, vals.size)} and {size} values")
         if np.may_share_memory(vals, buffers[1]):
             raise ValueError("filter values must not share the second buffer")
-        lattice = _product(_sparsetools, self._splat, c, vals.reshape(-1),
+        lattice = _product(sparsetools, self._splat, c, vals.reshape(-1),
                            buffers[1][:size])
         spare = buffers[0][:size]
         for _ in range(N_BLUR):
             for blur in self._blur:
-                lattice, spare = _product(_sparsetools, blur, c, lattice,
+                lattice, spare = _product(sparsetools, blur, c, lattice,
                                           spare), lattice
         # N_BLUR is even, so the blurs end in the second buffer
-        out = _product(_sparsetools, self._slice, c, lattice,
+        out = _product(sparsetools, self._slice, c, lattice,
                        buffers[0][:vals.size])
         out *= self.gain
         return out.reshape(vals.shape)
@@ -234,35 +266,72 @@ def _product(sparsetools, matrix, c: int, x: np.ndarray, out: np.ndarray
     return out
 
 
-def _blur_matrix(vertices: np.ndarray, off: int):
+def _blur_matrix(vertices: np.ndarray, off: int, budget: int) -> _Csr:
     """The CSR blur along one lattice axis of step code off: row j holds
     0.5 at j and 0.25 at j's + and - neighbours where they are vertices.
+    Raises CapacityError, before it allocates them, when its entries
+    would be more than budget.
 
     One binary search finds every vertex's + neighbour; the - neighbours
     are its inverse, since k is the - neighbour of j exactly when j is
     the + neighbour of k.
     """
-    from scipy import sparse
-
     n = vertices.size
     shifted = vertices + off
     plus = np.minimum(np.searchsorted(vertices, shifted), n - 1)
     has_plus = vertices[plus] == shifted
     plus = plus[has_plus]
+    entries = n + 2 * plus.size
+    if entries > budget:
+        _over_budget(f"{n} vertices")
+    index = _index_dtype(n, entries)
     has_minus = np.zeros(n, dtype=bool)
     has_minus[plus] = True
     # row j: j, then its + neighbour, then its - neighbour, where they exist
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(1 + has_plus + has_minus, out=indptr[1:])
     self_at = indptr[:-1]
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices = np.empty(entries, dtype=index)
     indices[self_at] = np.arange(n)
     indices[self_at[has_plus] + 1] = plus
     # the - neighbour of vertex plus[i] is the i-th vertex with a + one
     indices[indptr[1:][plus] - 1] = np.flatnonzero(has_plus)
-    data = np.full(indices.size, 0.25)
+    data = np.full(entries, 0.25)
     data[self_at] = 0.5
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return _Csr((n, n), indptr, indices, data)
+
+
+def _index_dtype(*sizes: int) -> type:
+    """The index dtype scipy gives a CSR matrix whose shape and entry
+    count are at most max(sizes): int32 while that fits."""
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
+
+
+def _over_budget(what: str):
+    raise CapacityError(
+        f"the lattice's blur operators over {what} would hold more than "
+        f"{MAX_MATRIX_VALUES} entries; use the exact backend or wider "
+        "kernel bandwidths")
+
+
+def _sparsetools():
+    """scipy's compiled sparsetools extension, loaded without importing
+    scipy or scipy.sparse, under its own name so that a later import of
+    scipy.sparse reuses it (and the one scipy.sparse loaded is reused)."""
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(path, "sparse")
+                   for path in scipy.submodule_search_locations or ()])
+        if spec is None:
+            raise ImportError(f"cannot find scipy's compiled extension {name}",
+                              name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -282,11 +351,18 @@ def _grow(seeds: np.ndarray, off_codes: np.ndarray, rings: int) -> np.ndarray:
     Breadth-first, one ring at a time: ring k+1 is the distinct neighbours
     of ring k that are not yet grown, found by binary search in the sorted
     grown set and merged into it at those positions, so the set stays
-    sorted and no round hashes or re-sorts it.
+    sorted and no round hashes or re-sorts it.  Before it forms a ring's
+    neighbours it raises CapacityError if the blurs' rows of the vertices
+    grown so far would already hold more than MAX_MATRIX_VALUES entries.
     """
     steps = np.concatenate([off_codes, -off_codes])
     grown = ring = seeds
-    for _ in range(rings):
+    for done in range(rings):
+        # ring k+1 gives every grown vertex all of its neighbours, so each
+        # row of each of the off_codes.size blurs will hold 3 entries
+        if 3 * off_codes.size * grown.size > MAX_MATRIX_VALUES:
+            _over_budget(f"{grown.size} vertices after {done} of {rings} "
+                         "rings")
         near = _distinct((ring[:, None] + steps).ravel())
         pos = np.searchsorted(grown, near)
         new = grown[np.minimum(pos, grown.size - 1)] != near

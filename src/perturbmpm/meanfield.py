@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, ModelShapeError
+from .errors import MAX_MATRIX_VALUES, CapacityError, ModelShapeError
 from .lattice import PermutohedralLattice
 from .model import DenseCrfModel, GaussianKernel, kernel_matrix
 
@@ -66,9 +66,6 @@ _ITERATION_LIMIT = 2 ** 63
 # bandwidths apart) are set to zero: each moves a message by less than
 # 1e-307, and subnormal operands slow BLAS down several-fold.
 _TINY = np.finfo(np.float64).tiny
-# Largest d x d axis factor or N x N kernel matrix the exact backend builds:
-# 512 MiB of float64, and building it takes a few such temporaries more.
-MAX_MATRIX_VALUES = 1 << 26
 # numpy sums a reduced axis of 8 or more terms pairwise, not in order
 _PAIRWISE_LABELS = 8
 # transposes, by ndim, that move the last (label) axis first

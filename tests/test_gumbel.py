@@ -250,8 +250,6 @@ _LIVE_ARRAYS = 8
 
 @pytest.mark.parametrize("backend", ["exact", "lattice"])
 def test_sampling_peak_is_bounded_by_the_batch_budget(monkeypatch, backend):
-    import scipy.sparse  # noqa: F401  imported before tracing starts
-
     model = build_grid_model((64, 64), 3,
                              np.random.default_rng(0).random((4096, 3)),
                              [(3.0, 3.0)])
@@ -395,8 +393,6 @@ def test_sample_maps_a_helpers_memory_error_to_exit_3(monkeypatch, tmp_path):
 @pytest.mark.parametrize("backend", ["exact", "lattice"])
 def test_split_sampling_peak_is_bounded_by_the_batch_budget(monkeypatch,
                                                             backend):
-    import scipy.sparse  # noqa: F401  imported before tracing starts
-
     model = build_grid_model((64, 64), 3,
                              np.random.default_rng(0).random((4096, 3)),
                              [(3.0, 3.0)])

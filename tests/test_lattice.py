@@ -1,8 +1,16 @@
+import importlib.util
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from perturbmpm import PermutohedralLattice, grid_coordinates
+from perturbmpm import CapacityError, PermutohedralLattice, grid_coordinates
 from perturbmpm import lattice as lattice_module
+from perturbmpm.cli import main
 
 
 def exact_gauss(features, values):
@@ -167,7 +175,7 @@ def previous_grow(seeds, off_codes, rings):
     return np.sort(np.concatenate(grown))
 
 
-def previous_blur_matrix(vertices, off):
+def previous_blur_matrix(vertices, off, budget):
     """The blur matrix the builder made with two binary searches."""
     from scipy import sparse
 
@@ -207,18 +215,58 @@ def test_builder_equals_the_previous_builder(features, monkeypatch):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def as_scipy(operator):
+    """scipy's CSR matrix over one of the lattice's operators' arrays."""
+    from scipy import sparse
+
+    return sparse.csr_matrix(
+        (operator.data, operator.indices, operator.indptr),
+        shape=operator.shape)
+
+
 def scipy_filter(lattice, values):
     """The filter as a chain of scipy's own sparse products."""
-    x = lattice._splat @ values
+    x = as_scipy(lattice._splat) @ values
     for _ in range(lattice_module.N_BLUR):
         for blur in lattice._blur:
-            x = blur @ x
-    return lattice.gain * (lattice._slice @ x)
+            x = as_scipy(blur) @ x
+    return lattice.gain * (as_scipy(lattice._slice) @ x)
 
 
 # a regular grid, whose rings make L > N, and dense random points, L < N
 LATTICES = {"grid": lambda: grid_coordinates((9, 8)) / 2.0,
-            "dense": lambda: np.random.default_rng(0).random((1000, 2)) * 0.3}
+            "dense": lambda: np.random.default_rng(0).random((1000, 2)) * 0.3,
+            "grid 3-D": lambda: grid_coordinates((5, 4, 6)) / 0.8}
+
+
+@pytest.mark.parametrize("points", sorted(LATTICES))
+def test_operators_are_the_arrays_scipy_made(points):
+    """The operators hold the arrays and index dtypes that scipy's
+    csr_matrix over the builder's int64 arrays, and the slice's
+    .T.tocsr(), hold; sparsetools checks no bounds, so they must also
+    pass scipy's full format check."""
+    from scipy import sparse
+
+    lattice = PermutohedralLattice(LATTICES[points]())
+    assert (lattice.n_lattice < lattice.n_points) == (points == "dense")
+    n, d = lattice.n_points, lattice.d
+    want_slice = sparse.csr_matrix(
+        (lattice._slice.data, lattice._slice.indices.astype(np.int64),
+         np.arange(0, n * (d + 1) + 1, d + 1)),
+        shape=(n, lattice.n_lattice))
+    pairs = [(lattice._slice, want_slice),
+             (lattice._splat, want_slice.T.tocsr())]
+    for blur in lattice._blur:
+        pairs.append((blur, sparse.csr_matrix(
+            (blur.data, blur.indices.astype(np.int64),
+             blur.indptr.astype(np.int64)), shape=blur.shape)))
+    for got, want in pairs:
+        want.check_format(full_check=True)
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.indices.dtype == np.int32
 
 
 @pytest.mark.parametrize("points", sorted(LATTICES))
@@ -226,10 +274,7 @@ LATTICES = {"grid": lambda: grid_coordinates((9, 8)) / 2.0,
 def test_buffered_products_equal_scipys(points, columns):
     """The private sparsetools calls give scipy's own products bitwise,
     write nothing past their output, and ignore what the buffer held."""
-    from scipy.sparse import _sparsetools
-
     lattice = PermutohedralLattice(LATTICES[points]())
-    assert (lattice.n_lattice < lattice.n_points) == (points == "dense")
     tail = () if columns is None else (columns,)
     c = 1 if columns is None else columns
     rng = np.random.default_rng(c)
@@ -237,9 +282,9 @@ def test_buffered_products_equal_scipys(points, columns):
         x = rng.normal(size=(matrix.shape[1], *tail))
         rows = matrix.shape[0]
         buffer = np.full(rows * c + 5, np.nan)
-        got = lattice_module._product(_sparsetools, matrix, c, x.reshape(-1),
-                                      buffer[:rows * c])
-        want = matrix @ x
+        got = lattice_module._product(lattice_module._sparsetools(), matrix,
+                                      c, x.reshape(-1), buffer[:rows * c])
+        want = as_scipy(matrix) @ x
         assert want.shape == (rows, *tail)
         assert got.tobytes() == want.tobytes()
         assert np.isnan(buffer[rows * c:]).all()
@@ -269,3 +314,102 @@ def test_filter_rejects_buffers_it_could_overrun():
             lattice.filter(values, bad)
     with pytest.raises(ValueError, match="second buffer"):
         lattice.filter(good[:144].reshape(72, 2), (np.empty(size), good))
+
+
+def run_fresh(code):
+    """Run code in a new interpreter that imports the package from src;
+    returns its standard output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_lattice_run_loads_no_scipy_package():
+    """A lattice solve loads scipy's sparsetools extension alone, and a
+    later import of scipy.sparse reuses it and still multiplies right."""
+    out = run_fresh("""
+import sys
+import numpy as np
+import perturbmpm as pm
+model = pm.build_grid_model((12, 10), 3,
+                            np.random.default_rng(0).random((120, 3)),
+                            [(0.5, 2.0)])
+pm.MeanField(model, pm.InferenceConfig(backend="lattice")).infer(
+    model.unary[None])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+loaded = sys.modules["scipy.sparse._sparsetools"]
+import scipy.sparse
+from scipy.sparse import _sparsetools
+assert _sparsetools is loaded
+a = np.random.default_rng(1).normal(size=(40, 30))
+a[a < 0.5] = 0.0
+x = np.random.default_rng(2).normal(size=(30, 3))
+matrix = scipy.sparse.csr_matrix(a)
+assert np.allclose(matrix @ x, a @ x, rtol=0, atol=1e-12)
+assert np.allclose(matrix @ x[:, 0], a @ x[:, 0], rtol=0, atol=1e-12)
+assert np.allclose((matrix.T @ matrix).toarray(), a.T @ a, rtol=0, atol=1e-12)
+""")
+    assert out == "['scipy.sparse._sparsetools']"
+
+
+def test_loader_reuses_the_extension_scipy_sparse_loaded():
+    assert run_fresh("""
+import scipy.sparse
+from scipy.sparse import _sparsetools
+from perturbmpm import lattice
+print(lattice._sparsetools() is _sparsetools)
+""") == "True"
+
+
+def test_loader_names_the_extension_it_cannot_find(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools",
+                        raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools"):
+        lattice_module._sparsetools()
+
+
+@pytest.mark.parametrize("dims", [(4,) * 5, (3,) * 6])
+def test_lattice_over_the_blur_guard_exits_3_early(tmp_path, capsys, dims):
+    """Unit-bandwidth grids in 5 and 6 dimensions grow millions of
+    vertices; the ring growth stops well before gigabytes."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dims = {' '.join(map(str, dims))}\nlabels = 2\n"
+                   f"kernel = 1.0{' 1' * len(dims)}\nbackend = lattice\n")
+    tracemalloc.start()
+    try:
+        code = main(["infer", "--model", str(cfg),
+                     "--out", str(tmp_path / "q.pmt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "blur operators" in capsys.readouterr().err
+    assert peak < 600 << 20
+    assert not (tmp_path / "q.pmt").exists()
+
+
+def test_blur_guard_counts_every_axis_before_allocating(monkeypatch):
+    features = grid_coordinates((9, 7)) / 2.0
+    n_lattice = PermutohedralLattice(features).n_lattice
+    entries = sum(b.data.size for b in PermutohedralLattice(features)._blur)
+    # the rings alone stay under a guard of the blurs' exact entry count
+    monkeypatch.setattr(lattice_module, "MAX_MATRIX_VALUES", entries)
+    PermutohedralLattice(features)
+    monkeypatch.setattr(lattice_module, "MAX_MATRIX_VALUES", entries - 1)
+    with pytest.raises(CapacityError, match=f"{n_lattice} vertices"):
+        PermutohedralLattice(features)
+
+
+@pytest.mark.parametrize("shape, sigma, vertices", [
+    ((64, 64), 3.0, 8307), ((32, 32, 32), 3.0, 146146)])
+def test_lattices_under_the_blur_guard_build(shape, sigma, vertices):
+    lattice = PermutohedralLattice(grid_coordinates(shape) / sigma)
+    assert lattice.n_lattice == vertices
+    assert sum(b.data.size for b in lattice._blur) \
+        <= lattice_module.MAX_MATRIX_VALUES
