@@ -1,4 +1,6 @@
-"""Exception types, and the allocation guard, shared across the package."""
+"""Exceptions, the allocation guard and the integer check of the package."""
+
+import numpy as np
 
 # Most values one operator may hold: the exact backend's largest d x d axis
 # factor or N x N kernel matrix (512 MiB of float64; building it takes a
@@ -24,3 +26,12 @@ class FormatError(PerturbMpmError):
 
 class ConfigError(PerturbMpmError):
     """A run configuration, from a file, a flag or a caller, is invalid."""
+
+
+def _check_integer(name: str, value, low: int, bits: int | None = None):
+    """Raise ValueError naming the argument unless value is an int or a
+    numpy integer, not a bool, in [low, 2**bits) (no bound for None)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) \
+            or value < low or bits is not None and value >= 2 ** bits:
+        within = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
+        raise ValueError(f"{name} must be an integer {within}, got {value!r}")

@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 
-from .errors import ModelShapeError
+from .errors import ModelShapeError, _check_integer
 from .meanfield import InferenceConfig, MeanField, mpm_decode
 from .model import DenseCrfModel
 
@@ -43,9 +43,7 @@ _SPLIT_VALUES = 1 << 18
 
 def check_seed(seed: int) -> None:
     """Raise ValueError unless seed is an integer in [0, 2**64)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) \
-            or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_integer("seed", seed, 0, 64)
 
 
 def _uniforms(seed: int, start: int, stop: int, shape) -> np.ndarray:
@@ -105,10 +103,7 @@ class SamplingConfig:
     inference: InferenceConfig = dataclasses.field(default_factory=InferenceConfig)
 
     def __post_init__(self):
-        if not isinstance(self.n_samples, (int, np.integer)) \
-                or isinstance(self.n_samples, bool) or self.n_samples < 1:
-            raise ValueError(
-                f"n_samples must be an integer >= 1, got {self.n_samples!r}")
+        _check_integer("n_samples", self.n_samples, 1)
         check_seed(self.seed)
 
 
@@ -210,10 +205,7 @@ def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
     bit-for-bit regardless of batching and threads.  batch_size must be
     an integer >= 1 (not a bool); anything else raises ValueError.
     """
-    if not isinstance(batch_size, (int, np.integer)) \
-            or isinstance(batch_size, bool) or batch_size < 1:
-        raise ValueError(
-            f"batch_size must be an integer >= 1, got {batch_size!r}")
+    _check_integer("batch_size", batch_size, 1)
     solver = MeanField(model, cfg.inference)  # shared read-only by threads
     n, m = model.n_voxels, model.n_labels
     t, values = cfg.n_samples, solver.sample_values

@@ -20,10 +20,12 @@ the call.  The products alternate between two flat buffers, the
 caller's or the filter's own: each zero-fills its output and calls
 csr_matvec or csr_matvecs from scipy's compiled sparsetools extension,
 the routines that scipy's `matrix @ x` calls on a new zeroed array, so
-the bits are scipy's and no product allocates.  The arrays are those
-scipy's csr_matrix would hold, index dtype included, and the extension
-is loaded on its own (`_sparsetools`): the scipy.sparse package, which
-takes a quarter of a second and 20 MiB to import, is never imported.
+the bits are scipy's and no product allocates; a call of two channels
+runs them one at a time, as vectors, where csr_matvec is the faster.
+The arrays are those scipy's csr_matrix would hold, index dtype
+included, and the extension is loaded on its own (`_sparsetools`): the
+scipy.sparse package, which takes a quarter of a second and 20 MiB to
+import, is never imported.
 The blur operators may hold at most MAX_MATRIX_VALUES entries together;
 a point set whose lattice would need more raises CapacityError while its
 vertex rings grow, or at the latest before that blur is allocated.
@@ -65,6 +67,10 @@ _BLUR_VARIANCE = 0.75
 N_BLUR = 12
 N_PROBES = 32
 _INT32_MAX = np.iinfo(np.int32).max
+# Most channels a filter call runs as vectors: csr_matvec took 31 us a
+# blur product on an 8307-vertex lattice, csr_matvecs over two columns
+# 98; three vectors took 0.91-0.98x one 3-column call (2-core VM).
+_VECTOR_CHANNELS = 2
 
 
 class _Csr(NamedTuple):
@@ -196,36 +202,53 @@ class PermutohedralLattice:
         allocates them when None.  The splat writes into the second, the
         blurs alternate between the two, and the slice writes the result
         into the first, which is returned as a view.  values may be a view
-        of the first buffer, never of the second.
+        of the first buffer, never of the second.  A call of 2 to
+        _VECTOR_CHANNELS channels first copies each into its own
+        max(L, N)-value segment of the second buffer and filters it there
+        as a vector, in its segments of both buffers with their roles
+        swapped; the results are copied back in (N, c) order.
         """
         sparsetools = _sparsetools()
         vals = np.ascontiguousarray(values, dtype=np.float64)
-        if vals.shape[0] != self.n_points:
+        n, size = self.n_points, max(self.n_lattice, self.n_points)
+        if vals.shape[0] != n:
             raise ValueError("value count does not match lattice points")
         c = math.prod(vals.shape[1:])
-        size = self.n_lattice * c
         if buffers is None:
-            buffers = [np.empty(max(size, vals.size)) for _ in range(2)]
+            buffers = [np.empty(size * c) for _ in range(2)]
         # sparsetools writes through raw pointers and checks no bounds
-        for buffer, need in zip(buffers, (max(size, vals.size), size)):
+        for buffer in buffers:
             if not (isinstance(buffer, np.ndarray) and buffer.ndim == 1
-                    and buffer.dtype == np.float64 and buffer.size >= need
+                    and buffer.dtype == np.float64 and buffer.size >= size * c
                     and buffer.flags.c_contiguous and buffer.flags.writeable):
                 raise ValueError("filter buffers must be two writeable, "
                                  f"C-contiguous float64 vectors of at least "
-                                 f"{max(size, vals.size)} and {size} values")
-        if np.may_share_memory(vals, buffers[1]):
+                                 f"{size * c} values")
+        first, second = buffers
+        if np.may_share_memory(vals, second):
             raise ValueError("filter values must not share the second buffer")
-        lattice = _product(sparsetools, self._splat, c, vals.reshape(-1),
-                           buffers[1][:size])
-        spare = buffers[0][:size]
-        for _ in range(N_BLUR):
-            for blur in self._blur:
-                lattice, spare = _product(sparsetools, blur, c, lattice,
-                                          spare), lattice
-        # N_BLUR is even, so the blurs end in the second buffer
-        out = _product(sparsetools, self._slice, c, lattice,
-                       buffers[0][:vals.size])
+        vectors = 1 < c <= _VECTOR_CHANNELS
+        if vectors:
+            columns = second[:size * c].reshape(c, size)
+            columns[:, :n] = vals.reshape(n, c).T
+            chains = [(1, column[:n], first[k * size:(k + 1) * size], column)
+                      for k, column in enumerate(columns)]
+        else:
+            chains = [(c, vals.reshape(-1), second, first)]
+        for width, x, work, dest in chains:
+            lattice = _product(sparsetools, self._splat, width, x,
+                               work[:self.n_lattice * width])
+            spare = dest[:self.n_lattice * width]
+            for _ in range(N_BLUR):
+                for blur in self._blur:
+                    lattice, spare = _product(sparsetools, blur, width,
+                                              lattice, spare), lattice
+            # N_BLUR is even, so the blurs end in work
+            _product(sparsetools, self._slice, width, lattice,
+                     dest[:n * width])
+        out = first[:vals.size].reshape(n, c)
+        if vectors:
+            out[...] = columns[:, :n].T
         out *= self.gain
         return out.reshape(vals.shape)
 

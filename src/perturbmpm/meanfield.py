@@ -19,9 +19,7 @@ m - 1 of the m label channels: P = 1 - Q for row-stochastic Q has rows
 summing to m - 1, so for the linear filter the last channel is
 w K P_m = (m - 1) w K 1 - sum_{l < m} w K P_l, with the row mass K 1 kept
 from the lattice's calibration.  The exact backend filters all m, since
-its cost is per matrix product, not per channel.  A lattice call of at
-most two channels filters them one at a time, as vectors, where the
-lattice is large enough for scipy's single-vector product to pay.
+its cost is per matrix product, not per channel.
 
 Every per-voxel operation across the label axis iterates voxels
 innermost: the softmax folds its min and sum over the label slices and
@@ -55,7 +53,8 @@ import math
 
 import numpy as np
 
-from .errors import MAX_MATRIX_VALUES, CapacityError, ModelShapeError
+from .errors import (MAX_MATRIX_VALUES, CapacityError, ModelShapeError,
+                     _check_integer)
 from .lattice import PermutohedralLattice
 from .model import DenseCrfModel, GaussianKernel, kernel_matrix
 
@@ -70,17 +69,6 @@ _TINY = np.finfo(np.float64).tiny
 _PAIRWISE_LABELS = 8
 # transposes, by ndim, that move the last (label) axis first
 _LABELS_FIRST = tuple((ndim - 1, *range(ndim - 1)) for ndim in range(65))
-# A lattice filter call of at most _VECTOR_CHANNELS channels, on a lattice
-# of at least _VECTOR_VERTICES vertices, filters them one at a time as
-# vectors: scipy's single-vector product runs about three times faster
-# per channel than its product over two columns (31 against 98 us a blur
-# product on an 8307-vertex lattice).  Two vector filters against one
-# two-channel call (medians of 300 alternating calls, 2-core VM) took
-# 1.05-1.13x as long at 705-861 vertices, 0.99-1.06x at 1127-1151,
-# 0.90-0.98x at 1388-2211 and 0.71-0.82x at 3164-41716; three took
-# 1.2-1.6x as long up to 2211 vertices and 0.91-0.98x at 8k-42k.
-_VECTOR_CHANNELS = 2
-_VECTOR_VERTICES = 1 << 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,11 +78,7 @@ class InferenceConfig:
     backend: str = "exact"
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, (int, np.integer)) \
-                or isinstance(self.max_iterations, bool) \
-                or not 1 <= self.max_iterations < _ITERATION_LIMIT:
-            raise ValueError("max_iterations must be an integer in "
-                             f"[1, 2**63), got {self.max_iterations!r}")
+        _check_integer("max_iterations", self.max_iterations, 1, 63)
         if not 0 <= self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be finite and "
                              f"non-negative, got {self.convergence_tol!r}")
@@ -151,36 +135,23 @@ def _lattice_apply(weight, lattice, mass, q: np.ndarray, x: np.ndarray,
     function returned writes w times the filter of 1 - q into y, as q's
     shape, returns that view, and leaves 1 - q in x.
 
-    The first m - 1 channels 1 - q_l are written straight from q into x
-    and filtered with x and y as the filter's buffers; the last is mass,
-    (m - 1) w K 1, less their sum.  At most _VECTOR_CHANNELS channels, on
-    a lattice of at least _VECTOR_VERTICES vertices, are filtered one at
-    a time, passed 1-D so that scipy runs its single-vector product, each
-    in its own max(L, N)-value segment of both buffers; any other call
-    filters the (N, c) block at once.  The filter treats each channel on
-    its own, so the bits are the same either way.
+    The first m - 1 channels 1 - q_l are written straight from q into x,
+    as one (N, c) block, and filtered in one call with x and y as the
+    filter's buffers, which puts the result in their place; the last is
+    mass, (m - 1) w K 1, less their sum.
     """
     *lead, n, m = q.shape
     c = (m - 1) * math.prod(lead)
-    if c > _VECTOR_CHANNELS or lattice.n_lattice < _VECTOR_VERTICES:
-        block = x[:n * c].reshape(n, *lead, m - 1)
-        channels = np.moveaxis(block, 0, -2)  # q's layout, (..., N, m - 1)
-        calls = [(block.reshape(n, c), (x, y))]
-    else:
-        seg = max(lattice.n_lattice, n)
-        channels = x[:c * seg].reshape(*lead, m - 1, seg)[..., :n]
-        channels = channels.swapaxes(-1, -2)
-        calls = [(x[k * seg:k * seg + n],
-                  (x[k * seg:(k + 1) * seg], y[k * seg:(k + 1) * seg]))
-                 for k in range(c)]
+    block = x[:n * c].reshape(n, *lead, m - 1)
+    channels = np.moveaxis(block, 0, -2)  # q's layout, (..., N, m - 1)
+    values = block.reshape(n, c)
     e = y[:q.size].reshape(q.shape)
     labels = [e[..., label] for label in range(m)]
     p = x[:q.size].reshape(q.shape)
 
     def run():
         np.subtract(1.0, q[..., :-1], out=channels)
-        for values, buffers in calls:  # each result replaces its values
-            lattice.filter(values, buffers)
+        lattice.filter(values, (x, y))
         np.multiply(channels, weight, out=e[..., :-1])
         last = labels[-1]
         last[...] = mass
@@ -337,24 +308,27 @@ class MeanField:
 
         return run
 
-    def messages(self, q: np.ndarray) -> np.ndarray:
-        """Summed Potts messages sum_{j != i} k(i, j) (1 - q_j) for
-        marginals of shape (..., N, m); rows must sum to 1, which the
-        lattice backend's last channel relies on."""
-        q = np.asarray(q)
-        work = self._workspace(q.size // (self.model.n_voxels
-                                          * self.model.n_labels))
-        e = self._bind(q, *work)()
-        return e if e.size == work[1].size else e.copy()
-
-    def step(self, q: np.ndarray) -> np.ndarray:
-        """One parallel mean-field sweep; rows of the result sum to 1."""
+    def _fields(self, q) -> tuple[np.ndarray, list]:
+        """q as an array of marginal fields, (..., N, m), and the work
+        buffers for them; raises ModelShapeError for any other shape."""
         q = np.asarray(q)
         n, m = self.model.n_voxels, self.model.n_labels
         if q.shape[-2:] != (n, m):
             raise ModelShapeError(
                 f"marginal field shape {q.shape} does not match model")
-        work = self._workspace(q.size // (n * m))
+        return q, self._workspace(q.size // (n * m))
+
+    def messages(self, q: np.ndarray) -> np.ndarray:
+        """Summed Potts messages sum_{j != i} k(i, j) (1 - q_j) for
+        marginals of shape (..., N, m); rows must sum to 1, which the
+        lattice backend's last channel relies on."""
+        q, work = self._fields(q)
+        e = self._bind(q, *work)()
+        return e if e.size == work[1].size else e.copy()
+
+    def step(self, q: np.ndarray) -> np.ndarray:
+        """One parallel mean-field sweep; rows of the result sum to 1."""
+        q, work = self._fields(q)
         e = self._bind(q, *work)()
         e += self.model.unary
         _softmax_neg(e, e)

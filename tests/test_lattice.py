@@ -301,6 +301,39 @@ def test_buffered_products_equal_scipys(points, columns):
     assert got.tobytes() == want.tobytes()
 
 
+def record_routines(monkeypatch):
+    """The name of every sparsetools routine the lattice calls, in order."""
+    calls = []
+    loaded = lattice_module._sparsetools()
+
+    class Recorder:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(loaded, name)
+
+    monkeypatch.setattr(lattice_module, "_sparsetools", Recorder)
+    return calls
+
+
+@pytest.mark.parametrize("scale, large", [(2.0, True), (1.5, False)])
+@pytest.mark.parametrize("columns, routine", [
+    (None, "csr_matvec"), (1, "csr_matvec"), (2, "csr_matvec"),
+    (3, "csr_matvecs"), (32, "csr_matvecs")])
+def test_filter_runs_vectors_for_one_or_two_channels(monkeypatch, scale,
+                                                     large, columns, routine):
+    """One or two channels run scipy's single-vector product, whatever
+    the lattice's size; three or more run its product over columns."""
+    dims = (9, 8) if large else (3, 4)
+    lattice = PermutohedralLattice(grid_coordinates(dims) / scale)
+    assert (lattice.n_lattice >= 1024) == large
+    calls = record_routines(monkeypatch)
+    tail = () if columns is None else (columns,)
+    lattice.filter(np.ones((lattice.n_points, *tail)))
+    chains = 1 if routine == "csr_matvecs" else columns or 1
+    assert calls == [routine] * chains * (2 + lattice_module.N_BLUR
+                                          * len(lattice._blur))
+
+
 def test_filter_rejects_buffers_it_could_overrun():
     lattice = PermutohedralLattice(grid_coordinates((9, 8)) / 2.0)
     values = np.ones((72, 2))

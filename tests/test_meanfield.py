@@ -11,6 +11,7 @@ from perturbmpm import (CapacityError, DenseCrfModel, GaussianKernel,
                         build_grid_model, grid_coordinates, mean_field_infer,
                         mpm_decode, perturb_and_mpm)
 import perturbmpm.gumbel as gumbel
+import perturbmpm.lattice as lattice_module
 import perturbmpm.meanfield as meanfield
 
 
@@ -188,6 +189,17 @@ def test_step_rejects_wrong_shape():
     model = grid_model()
     with pytest.raises(ModelShapeError):
         MeanField(model).step(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+@pytest.mark.parametrize("shape", [(32, 2), (16, 3), (16,)])
+def test_messages_and_step_reject_wrong_shapes(backend, shape):
+    model = grid_model(n=16)
+    solver = MeanField(model, InferenceConfig(backend=backend))
+    q = np.full(shape, 0.5)
+    for call in (solver.messages, solver.step):
+        with pytest.raises(ModelShapeError, match="does not match model"):
+            call(q)
 
 
 def test_infer_reaches_fixed_point():
@@ -464,61 +476,6 @@ def test_inference_config_rejects_a_bool_iteration_cap():
         InferenceConfig(max_iterations=True)
 
 
-
-def _record_filter_blocks(monkeypatch):
-    """The channel count of every lattice filter call, None for 1-D."""
-    blocks = []
-    original = PermutohedralLattice.filter
-
-    def recording(self, values, *buffers):
-        blocks.append(None if values.ndim == 1 else values.shape[1])
-        return original(self, values, *buffers)
-
-    monkeypatch.setattr(PermutohedralLattice, "filter", recording)
-    return blocks
-
-
-def lattice_term(weight, lattice, mass, q):
-    """meanfield._lattice_apply of q in work buffers of the size
-    MeanField._workspace gives q's fields."""
-    *lead, n, m = q.shape
-    size = int(np.prod(lead)) * max(m * n, (m - 1) * lattice.n_lattice)
-    x, y = np.empty(size), np.empty(size)
-    term = meanfield._lattice_apply(weight, lattice, mass, q, x, y)()
-    assert np.array_equal(x[:q.size].reshape(q.shape), 1.0 - q)
-    return term.copy()
-
-
-@pytest.mark.parametrize("m, t", [(3, 1), (2, 3), (6, 1), (2, 5)])
-def test_vector_filters_are_bitwise_one_call(monkeypatch, m, t):
-    c = (m - 1) * t  # 2, 3 or 5 filtered channels
-    lattice = PermutohedralLattice(grid_coordinates((9, 8)) / 2.0)
-    mass = (m - 1) * 0.7 * lattice.row_mass
-    q = softmax(np.random.default_rng(c + m).normal(size=(t, 72, m)), -1)
-    blocks = _record_filter_blocks(monkeypatch)
-    monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", 0)
-    one_call = lattice_term(0.7, lattice, mass, q)
-    monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", c)
-    vectors = lattice_term(0.7, lattice, mass, q)
-    assert np.array_equal(vectors, one_call)
-    assert blocks == [c] + [None] * c
-
-
-@pytest.mark.parametrize("dims, scale, c, want", [
-    ((9, 8), 2.0, 1, [None]), ((9, 8), 2.0, 2, [None, None]),
-    ((9, 8), 2.0, 3, [3]), ((3, 4), 1.5, 2, [2])])
-def test_vector_filters_need_few_channels_and_a_large_lattice(
-        monkeypatch, dims, scale, c, want):
-    lattice = PermutohedralLattice(grid_coordinates(dims) / scale)
-    assert (lattice.n_lattice >= meanfield._VECTOR_VERTICES) \
-        == (dims == (9, 8))
-    n = int(np.prod(dims))
-    blocks = _record_filter_blocks(monkeypatch)
-    lattice_term(1.0, lattice, c * lattice.row_mass,
-                 np.full((1, n, c + 1), 1 / (c + 1)))
-    assert blocks == want
-
-
 def test_split_sampling_starts_no_threads_in_its_filters(monkeypatch):
     model = build_grid_model((9, 8), 3,
                              np.random.default_rng(6).random((72, 3)),
@@ -528,7 +485,7 @@ def test_split_sampling_starts_no_threads_in_its_filters(monkeypatch):
     reference = perturb_and_mpm(model, cfg, batch_size=1).labels
     monkeypatch.setattr(gumbel, "_SPLIT_VALUES", 0)
     monkeypatch.setattr(gumbel, "_workers", lambda: 2)
-    monkeypatch.setattr(meanfield, "_VECTOR_CHANNELS", 64)
+    monkeypatch.setattr(lattice_module, "_VECTOR_CHANNELS", 64)
     inside = threading.local()
     apply, start = meanfield._lattice_apply, threading.Thread.start
     starts = []  # True for a thread started inside a lattice filter
@@ -551,10 +508,18 @@ def test_split_sampling_starts_no_threads_in_its_filters(monkeypatch):
 
     monkeypatch.setattr(meanfield, "_lattice_apply", marked_apply)
     monkeypatch.setattr(threading.Thread, "start", recording_start)
-    blocks = _record_filter_blocks(monkeypatch)
+    routines = set()
+    loaded = lattice_module._sparsetools()
+
+    class Recorder:
+        def __getattr__(self, name):
+            routines.add(name)
+            return getattr(loaded, name)
+
+    monkeypatch.setattr(lattice_module, "_sparsetools", Recorder)
     run = perturb_and_mpm(model, cfg, batch_size=3)
     assert starts == [False]  # the sampling split's helper only
-    assert set(blocks) == {None}  # every filter ran as vectors
+    assert routines == {"csr_matvec"}  # every filter ran as vectors
     assert np.array_equal(run.labels, reference)
 
 
