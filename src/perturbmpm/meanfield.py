@@ -240,21 +240,22 @@ class MeanField:
     operators, one q -> w K (1 - q) a kernel (a chain of matrices on the
     exact backend, a weighted lattice filter of m - 1 channels on the
     lattice backend), for any number of marginal fields.  Each call
-    allocates its own work buffers (`_workspace`) and keeps none, so one
-    solver serves any number of threads.
+    takes its fields through `_fields`, which checks their shape and
+    allocates the call's work buffers; the solver keeps none, so it
+    serves any number of threads.  `sample_values` is the values one
+    marginal field stacks: m N, plus (m - 1) times the lattice vertices
+    over every kernel, which its filtered channels fill.
     """
 
     def __init__(self, model: DenseCrfModel, cfg: InferenceConfig | None = None):
         self.model = model
         self.cfg = InferenceConfig() if cfg is None else cfg
         self._operators = []  # q, x, y -> w K (1 - q) in y, one a kernel
-        self._vertices = 0    # lattice vertices over every kernel
-        self._widest = 0      # vertices of the largest lattice
+        vertices = []         # each lattice's vertices (lattice backend)
         for kernel in model.kernels:
             if self.cfg.backend == "lattice":
                 lattice = PermutohedralLattice(kernel.scaled_features())
-                self._vertices += lattice.n_lattice
-                self._widest = max(self._widest, lattice.n_lattice)
+                vertices.append(lattice.n_lattice)
                 mass = ((model.n_labels - 1) * kernel.weight
                         * lattice.row_mass)
                 self._operators.append(functools.partial(
@@ -262,25 +263,13 @@ class MeanField:
             else:
                 self._operators.append(functools.partial(
                     _chain, _exact_links(model.dims, model.n_labels, kernel)))
+        m, n = model.n_labels, model.n_voxels
+        self.sample_values = m * n + (m - 1) * sum(vertices)
+        # each work buffer's values a field: its m channels, or the m - 1
+        # filtered ones over the largest lattice's vertices
+        self._work_values = max(m * n, (m - 1) * max(vertices, default=0))
         # a kernel is w at i = j; messages drop those terms as one
         self._self_weight = sum(kernel.weight for kernel in model.kernels)
-
-    @property
-    def sample_values(self) -> int:
-        """Values one marginal field stacks: m * N, plus (m - 1) * the
-        lattice vertices that its filtered channels fill."""
-        m = self.model.n_labels
-        return m * self.model.n_voxels + (m - 1) * self._vertices
-
-    def _workspace(self, fields: int) -> list:
-        """Flat work buffers for `fields` marginal fields: two of
-        max(m N, (m - 1) L) values a field, L the largest lattice's
-        vertices (0 on the exact backend), and a third, for the later
-        kernels' terms, on a model of two kernels or more."""
-        m = self.model.n_labels
-        size = fields * max(m * self.model.n_voxels, (m - 1) * self._widest)
-        return [np.empty(size)
-                for _ in range(2 if len(self._operators) < 2 else 3)]
 
     def _bind(self, q: np.ndarray, x: np.ndarray, y: np.ndarray,
               z: np.ndarray | None = None):
@@ -308,36 +297,43 @@ class MeanField:
 
         return run
 
-    def _fields(self, q) -> tuple[np.ndarray, list]:
-        """q as an array of marginal fields, (..., N, m), and the work
-        buffers for them; raises ModelShapeError for any other shape."""
+    def _fields(self, q, batch: bool = False):
+        """The one entry of `messages`, `step` and `infer`: q as an array
+        of fields, (..., N, m), or (T, N, m) when batch; flat work buffers
+        x and y of `_work_values` values a field; and bind, which binds the
+        messages of fields of at most q's size to x, y and, on a model of
+        two kernels or more, a third buffer (`_bind`).  Raises
+        ModelShapeError for any other shape."""
         q = np.asarray(q)
         n, m = self.model.n_voxels, self.model.n_labels
-        if q.shape[-2:] != (n, m):
+        if q.shape[-2:] != (n, m) or batch and q.ndim != 3:
             raise ModelShapeError(
-                f"marginal field shape {q.shape} does not match model")
-        return q, self._workspace(q.size // (n * m))
+                f"field shape {q.shape} does not match model, which takes "
+                f"({'T' if batch else '...'}, {n}, {m})")
+        size = q.size // (n * m) * self._work_values
+        x, y, *z = [np.empty(size)
+                    for _ in range(2 if len(self._operators) < 2 else 3)]
+        return q, x, y, lambda fields: self._bind(fields, x, y, *z)
 
     def messages(self, q: np.ndarray) -> np.ndarray:
         """Summed Potts messages sum_{j != i} k(i, j) (1 - q_j) for
         marginals of shape (..., N, m); rows must sum to 1, which the
         lattice backend's last channel relies on."""
-        q, work = self._fields(q)
-        e = self._bind(q, *work)()
-        return e if e.size == work[1].size else e.copy()
+        q, _, y, bind = self._fields(q)
+        e = bind(q)()
+        return e if e.size == y.size else e.copy()
 
     def step(self, q: np.ndarray) -> np.ndarray:
         """One parallel mean-field sweep; rows of the result sum to 1."""
-        q, work = self._fields(q)
-        e = self._bind(q, *work)()
+        e = self.messages(q)
         e += self.model.unary
-        _softmax_neg(e, e)
-        return e if e.size == work[1].size else e.copy()
+        return _softmax_neg(e, e)
 
     def infer(self, unaries: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean-field inference for a batch of unary fields of shape
-        (T, N, m) sharing the model's kernels.
+        (T, N, m) sharing the model's kernels; any other shape raises
+        ModelShapeError.
 
         Converged batch entries are frozen so results are identical to
         running each entry on its own.  Returns (marginals, iterations,
@@ -345,7 +341,7 @@ class MeanField:
         never changed by less than the tolerance stops at the iteration
         cap with converged False.
 
-        The solve allocates its workspace once: q, the `_workspace`
+        The solve allocates its workspace once: q, the `_fields`
         buffers and one (T, N) buffer for the softmax's label folds, and
         only reads unaries.  The active entries fill q's first slots; an
         entry that converges moves behind them once, in the copy that
@@ -354,12 +350,12 @@ class MeanField:
         sweep reads the active unaries through one np.take.
         """
         cfg = self.cfg
+        unaries, x, y, bind = self._fields(unaries, batch=True)
         t = unaries.shape[0]
         field = math.prod(unaries.shape[1:])
         q = np.empty(unaries.shape)
         rows = np.empty(unaries.shape[:-1])
         _softmax_neg(unaries, q, rows)
-        x, y, *z = self._workspace(t)
         starts = np.arange(0, q.size, field)
         iterations = np.full(t, cfg.max_iterations, dtype=np.int64)
         order = np.arange(t)  # the entry each slot holds
@@ -372,7 +368,7 @@ class MeanField:
             q, in y (where messages lands) and in x, and their messages."""
             size = k * field
             return (q[:k], unaries[:k], rows[:k], starts[:k], flat[:size],
-                    y[:size], x[:size], self._bind(q[:k], x, y, *z))
+                    y[:size], x[:size], bind(q[:k]))
 
         qk, uk, rk, sk, qf, ef, d, messages = active(t)
         for it in range(cfg.max_iterations):

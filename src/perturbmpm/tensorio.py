@@ -77,16 +77,15 @@ def read_tensor(path) -> np.ndarray:
 
 # -- PGM (binary, 8-bit grayscale) ----------------------------------------
 
-def write_pgm(path, image: np.ndarray, max_val: int = 255) -> None:
-    """Write an 8-bit grayscale image in the binary (P5) PGM variant."""
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write an 8-bit grayscale image, max value 255, in the binary (P5)
+    PGM variant."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise FormatError("PGM image must be 2-d")
-    if not 0 < max_val <= 255:
-        raise FormatError("max_val must be in 1..255")
-    data = np.clip(np.rint(img), 0, max_val).astype(np.uint8)
+    data = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{max_val}\n".encode())
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(data)
 
 

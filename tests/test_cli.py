@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perturbmpm import read_pgm, read_tensor, write_tensor
+from perturbmpm import read_pgm, read_tensor, write_pgm, write_tensor
 from perturbmpm.cli import main
 
 
@@ -112,6 +112,16 @@ def test_sample_deterministic_bitwise(model_cfg, tmp_path):
     assert main(["sample", "--model", str(model_cfg), "--seed", "99",
                  "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_sample_reports_the_required_sample_size(model_cfg, tmp_path,
+                                                 capsys):
+    model_cfg.write_text(model_cfg.read_text()
+                         + "epsilon = 0.1\ndelta = 0.05\n")
+    assert main(["sample", "--model", str(model_cfg),
+                 "--out", str(tmp_path / "s.pmt")]) == 0
+    assert "required_sample_size(eps=0.1, delta=0.05, m=2) = 220" in \
+        capsys.readouterr().out.splitlines()
 
 
 def test_uncertainty_outputs(model_cfg, tmp_path):
@@ -295,6 +305,23 @@ def test_heatmap_on_non_2d_grid_writes_nothing(tmp_path, capsys):
                  "--heatmap", str(tmp_path / "h.pgm")]) == 2
     assert "PGM heatmaps require a 2-d grid" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("dims, images, message", [
+    ("2 2 2", [np.zeros((2, 2))] * 2,
+     "PGM probability maps require a 2-d grid"),
+    ("2 2", [np.zeros((2, 2)), np.array([[9, 9], [0, 9]])],
+     "probability maps assign zero mass at some voxel")])
+def test_unusable_probability_maps_are_data_errors(tmp_path, capsys, dims,
+                                                   images, message):
+    for name, image in zip("ab", images):
+        write_pgm(tmp_path / f"{name}.pgm", image)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dims = {dims}\nlabels = 2\nprob_map = a.pgm b.pgm\n")
+    out = tmp_path / "q.pmt"
+    assert main(["infer", "--model", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("label", ["5", "2", "-1"])

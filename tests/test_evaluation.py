@@ -66,6 +66,13 @@ def test_uncertainty_confusion_roi_and_validation():
         uncertainty_confusion(pred, truth, unc, threshold=-1.0)
 
 
+def test_uncertainty_confusion_rejects_a_mis_shaped_roi():
+    pred = truth = unc = np.zeros(4)
+    for roi in (np.ones(3, bool), np.ones((2, 2), bool)):
+        with pytest.raises(ValueError, match="roi mask shape"):
+            uncertainty_confusion(pred, truth, unc, roi=roi)
+
+
 def test_compute_eor_examples():
     assert compute_eor(10.0, 0.0) == 1.0
     assert compute_eor(10.0, 5.0) == 0.5

@@ -38,6 +38,14 @@ def test_tensor_bad_magic(tmp_path):
         read_tensor(path)
 
 
+def test_tensor_truncated_inside_its_dims(tmp_path):
+    path = tmp_path / "t.pmt"
+    write_tensor(path, np.zeros((2, 3)))
+    path.write_bytes(path.read_bytes()[:20])  # rank 2, one of two dims
+    with pytest.raises(FormatError, match="truncated tensor header"):
+        read_tensor(path)
+
+
 def test_tensor_truncated_payload(tmp_path):
     path = tmp_path / "t.pmt"
     write_tensor(path, np.zeros((4, 4)))
@@ -66,6 +74,18 @@ def test_pgm_all_zero_round_trip(tmp_path):
     write_pgm(path, np.zeros((2, 2)))
     back, _ = read_pgm(path)
     assert np.array_equal(back, np.zeros((2, 2)))
+
+
+def test_pgm_reads_any_max_value_from_1_to_255(tmp_path):
+    path = tmp_path / "m.pgm"
+    for max_val in (1, 15, 255):
+        path.write_bytes(b"P5\n2 1\n%d\n" % max_val + bytes([0, max_val]))
+        img, got = read_pgm(path)
+        assert got == max_val and img.tolist() == [[0, max_val]]
+    for max_val in (0, 256):
+        path.write_bytes(b"P5\n2 1\n%d\n" % max_val + bytes(2))
+        with pytest.raises(FormatError, match="unsupported max value"):
+            read_pgm(path)
 
 
 def test_pgm_comment_handling(tmp_path):

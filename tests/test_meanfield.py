@@ -202,6 +202,28 @@ def test_messages_and_step_reject_wrong_shapes(backend, shape):
             call(q)
 
 
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_infer_takes_only_a_batch_of_unary_fields(backend):
+    model = grid_model(n=16)
+    solver = MeanField(model, InferenceConfig(backend=backend))
+    for shape in ((16, 2), (1, 32, 2), (2, 16, 3), (1, 1, 16, 2)):
+        with pytest.raises(ModelShapeError, match="does not match model"):
+            solver.infer(np.zeros(shape))
+    q, iterations, converged = solver.infer(np.zeros((0, 16, 2)))
+    assert (q.shape, iterations.shape, converged.shape) == \
+        ((0, 16, 2), (0,), (0,))
+
+
+def test_sample_values_count_every_lattice():
+    model = build_grid_model((8, 8), 3, np.zeros((64, 3)),
+                             [(1.0, 1.0), (0.5, 2.0)])
+    vertices = [PermutohedralLattice(kernel.scaled_features()).n_lattice
+                for kernel in model.kernels]
+    lattice = MeanField(model, InferenceConfig(backend="lattice"))
+    assert lattice.sample_values == 3 * 64 + 2 * sum(vertices)
+    assert MeanField(model).sample_values == 3 * 64
+
+
 def test_infer_reaches_fixed_point():
     model = grid_model(n=5, weight=0.8, seed=7)
     cfg = InferenceConfig(max_iterations=200, convergence_tol=1e-12)
