@@ -139,6 +139,13 @@ class UncertaintyConfusion:
         return self.tn / (self.tn + self.fp) if self.tn + self.fp else float("nan")
 
 
+def _check_threshold(threshold: float) -> None:
+    """Raise ValueError unless threshold is a finite number >= 0."""
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(
+            f"threshold must be a finite number >= 0, got {threshold!r}")
+
+
 def uncertainty_confusion(pred: np.ndarray, truth: np.ndarray,
                           uncertainty: np.ndarray, threshold: float = 0.0,
                           roi: np.ndarray | None = None) -> UncertaintyConfusion:
@@ -152,8 +159,7 @@ def uncertainty_confusion(pred: np.ndarray, truth: np.ndarray,
     uncertainty = np.asarray(uncertainty)
     if not pred.shape == truth.shape == uncertainty.shape:
         raise ValueError("pred, truth and uncertainty must share a shape")
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    _check_threshold(threshold)
     mask = np.ones(pred.shape, dtype=bool) if roi is None else np.asarray(roi, bool)
     if mask.shape != pred.shape:
         raise ValueError("roi mask shape does not match")
@@ -183,6 +189,7 @@ def corrected_label_volume(pred: np.ndarray, uncertainty: np.ndarray,
     uncertainty = np.asarray(uncertainty)
     if pred.shape != uncertainty.shape:
         raise ValueError("pred and uncertainty must share a shape")
+    _check_threshold(threshold)
     keep = (pred == target_label) & (uncertainty <= threshold)
     return float(np.sum(keep))
 

@@ -35,7 +35,7 @@ _UNIFORM_CLAMP = 1e-15
 _WORDS_PER_STEP = 4  # Philox4x64 yields four 64-bit words per counter step
 # Values one sampling batch may stack into one array: 16 MiB of float64.
 _BATCH_VALUES = 1 << 21
-# Values (samples times sample_values) a perturb_and_mpm call must stack
+# Values (draws times the values a draw adds) a sampling call must stack
 # before its batches run on several CPUs: smaller batches spend their time
 # in numpy dispatch, which holds the GIL, and each thread adds a malloc arena.
 _SPLIT_VALUES = 1 << 18
@@ -77,6 +77,8 @@ def iteration_noise(seed: int, t: int, shape) -> np.ndarray:
     Every draw has its own counter block, so iterations can run in any
     order or batching and still reproduce bit-identically.
     """
+    check_seed(seed)
+    _check_integer("t", t, 0)
     return _noise(seed, t, t + 1, shape)[0]
 
 
@@ -87,13 +89,8 @@ def gumbel_max_select_many(theta: np.ndarray, seed: int,
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1 or not theta.size or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be a finite non-empty 1-d vector")
-    out = np.empty(count, dtype=np.int64)
-    batch = max(1, _BATCH_VALUES // theta.size)
-    for start in range(0, count, batch):
-        stop = min(start + batch, count)
-        out[start:stop] = np.argmin(
-            theta - _noise(seed, start, stop, theta.shape), axis=1)
-    return out
+    return _perturb(seed, count, theta.shape, theta.size, lambda g: np.argmin(
+        np.subtract(theta, g, out=g), axis=1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,47 +188,59 @@ def _drain(run, starts, workers: int) -> None:
         helper.result()
 
 
-def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
-                    batch_size: int = 2048) -> SampleSet:
-    """Draw approximate Gibbs samples: perturb unaries, mean-field, decode.
-
-    Batches hold min(batch_size, _BATCH_VALUES // solver.sample_values)
-    samples, at least one.  A call stacking at least _SPLIT_VALUES values
-    whose budget fits a sample per CPU runs its batches on every CPU of
-    the process's affinity mask; its batches then hold at most
-    ceil(T / workers) and _BATCH_VALUES // (workers * sample_values)
-    samples, so the batches in flight together stay within the budget.
-    Iteration t uses draw t of cfg.seed, so the result is reproducible
-    bit-for-bit regardless of batching and threads.  batch_size must be
-    an integer >= 1 (not a bool); anything else raises ValueError.
+def _perturb(seed: int, count: int, shape, values: int, decode, row=(),
+             cap: int | None = None) -> np.ndarray:
+    """A (count, *row) int64 array whose rows [start, stop) are
+    decode(_noise(seed, start, stop, shape)), the decoded draws of a seed;
+    decode may overwrite the noise.  A draw adds `values` values to the
+    largest array a batch stacks, and batches hold at most cap draws,
+    where given, and _BATCH_VALUES // values, at least one.  A call
+    stacking at least _SPLIT_VALUES values whose budget fits a draw per
+    CPU runs its batches on every CPU of the affinity mask, each of at most
+    ceil(count / workers) and _BATCH_VALUES // (workers * values) draws,
+    so the batches in flight share the budget.  Draw t's bits depend on
+    neither its batch nor its thread.  A bad seed or count raises
+    ValueError naming it.
     """
-    _check_integer("batch_size", batch_size, 1)
-    solver = MeanField(model, cfg.inference)  # shared read-only by threads
-    n, m = model.n_voxels, model.n_labels
-    t, values = cfg.n_samples, solver.sample_values
+    check_seed(seed)
+    _check_integer("count", count, 0)
     workers = _workers()
-    if t * values < _SPLIT_VALUES or _BATCH_VALUES // values < workers:
+    if count * values < _SPLIT_VALUES or _BATCH_VALUES // values < workers:
         workers = 1
-    batch = min(batch_size, -(-t // workers),
-                max(1, _BATCH_VALUES // (workers * values)))
-    out = np.empty((t, n), dtype=np.int64)
+    batch = max(1, min(cap or count, -(-count // workers),
+                       _BATCH_VALUES // (workers * values)))
+    out = np.empty((count, *row), dtype=np.int64)
 
     def run(start):  # each batch writes its own rows of out
-        stop = min(start + batch, t)
-        unaries = _noise(cfg.seed, start, stop, (n, m))
-        np.subtract(model.unary, unaries, out=unaries)
-        q = solver.infer(unaries)[0]
-        out[start:stop] = mpm_decode(q)
+        stop = min(start + batch, count)
+        out[start:stop] = decode(_noise(seed, start, stop, shape))
 
-    starts = range(0, t, batch)
+    starts = range(0, count, batch)
     workers = min(workers, len(starts))
     if workers > 1:
         _drain(run, starts, workers)
     else:
         for start in starts:
             run(start)
+    return out
+
+
+def perturb_and_mpm(model: DenseCrfModel, cfg: SamplingConfig,
+                    batch_size: int = 2048) -> SampleSet:
+    """Draw approximate Gibbs samples: perturb unaries, mean-field, decode;
+    sample t decodes draw t of cfg.seed, at most batch_size a batch."""
+    _check_integer("batch_size", batch_size, 1)
+    solver = MeanField(model, cfg.inference)  # shared read-only by threads
+
+    def decode(noise):  # the unaries are subtracted into the noise buffer
+        return mpm_decode(solver.infer(
+            np.subtract(model.unary, noise, out=noise))[0])
+
+    out = _perturb(cfg.seed, cfg.n_samples, model.unary.shape,
+                   solver.sample_values, decode, row=(model.n_voxels,),
+                   cap=batch_size)
     out.setflags(write=False)
-    return SampleSet(out, m)
+    return SampleSet(out, model.n_labels)
 
 
 def empirical_marginals(samples: SampleSet) -> np.ndarray:

@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CapacityError, ModelShapeError
-from .gumbel import _BATCH_VALUES, _noise, gumbel_max_select_many
+from .gumbel import _perturb, gumbel_max_select_many
 from .model import DenseCrfModel, pairwise_matrix
 
 MAX_ENUM_STATES = 2 ** 24
@@ -115,11 +115,17 @@ def exact_marginals(dist: ExactDistribution) -> np.ndarray:
                      for i in range(dist.n_voxels)])
 
 
+def _exact_maps(e: np.ndarray, unaries: np.ndarray) -> np.ndarray:
+    """Exact MAP labelings (B, N) of a batch of unaries (B, N, m), added in
+    place to e (B, m^N), each row the pairwise energy of every labeling;
+    ties break toward the lowest code."""
+    return decode_labeling(np.argmin(_add_unaries(e, unaries), axis=1),
+                           *unaries.shape[1:])
+
+
 def exact_map(model: DenseCrfModel) -> np.ndarray:
     """Global energy minimiser; ties break toward the lowest labeling code."""
-    energies = _all_energies(model)
-    return decode_labeling(int(np.argmin(energies)),
-                           model.n_voxels, model.n_labels)
+    return _exact_maps(_pair_energies(model)[None], model.unary[None])[0]
 
 
 def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
@@ -144,18 +150,10 @@ def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,
     same seed sees exactly the same perturbations (paired decodes).
     """
     pair = _pair_energies(model)
-    n, m = model.n_voxels, model.n_labels
-    out = np.empty((count, n), dtype=np.int64)
-    batch = max(1, min(count, _BATCH_VALUES // pair.size))
-    # one buffer refilled every batch, so no two batches are alive at once
-    buffer = np.empty((batch, pair.size))
-    for start in range(0, count, batch):
-        stop = min(start + batch, count)
-        e = buffer[:stop - start]
-        e[:] = pair
-        _add_unaries(e, model.unary[None] - _noise(seed, start, stop, (n, m)))
-        out[start:stop] = decode_labeling(np.argmin(e, axis=1), n, m)
-    return out
+    return _perturb(seed, count, model.unary.shape, pair.size, lambda g:
+                    _exact_maps(np.tile(pair, (len(g), 1)),
+                                np.subtract(model.unary, g, out=g)),
+                    row=(model.n_voxels,))
 
 
 def kl_product_vs_exact(q: np.ndarray, model: DenseCrfModel,

@@ -62,8 +62,17 @@ def test_uncertainty_confusion_roi_and_validation():
     assert np.isnan(c.specificity)
     with pytest.raises(ValueError):
         uncertainty_confusion(pred, truth, unc[:1])
-    with pytest.raises(ValueError):
-        uncertainty_confusion(pred, truth, unc, threshold=-1.0)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, float("nan"), float("inf"),
+                                       -float("inf")])
+def test_thresholds_must_be_finite_and_non_negative(threshold):
+    pred = truth = np.array([0, 1])
+    unc = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="^threshold must be"):
+        uncertainty_confusion(pred, truth, unc, threshold=threshold)
+    with pytest.raises(ValueError, match="^threshold must be"):
+        corrected_label_volume(pred, unc, threshold, 1)
 
 
 def test_uncertainty_confusion_rejects_a_mis_shaped_roi():

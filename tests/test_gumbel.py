@@ -13,7 +13,10 @@ from perturbmpm import (EULER_GAMMA, InferenceConfig, MeanField,
                         ModelShapeError, SampleSet, SamplingConfig,
                         build_grid_model, empirical_marginals,
                         gumbel_max_select_many, iteration_noise,
-                        mean_field_infer, mpm_decode, perturb_and_mpm)
+                        mean_field_infer, mpm_decode,
+                        perturb_and_map_full_order_many,
+                        perturb_and_map_order1_many, perturb_and_mpm)
+from perturbmpm.evaluation import random_grid_model
 
 
 def test_gumbel_moments():
@@ -306,19 +309,44 @@ def test_split_gate(monkeypatch):
     assert calls == [2]
 
 
-@pytest.mark.parametrize("backend", ["exact", "lattice"])
-def test_threaded_sampling_is_bitwise_serial(monkeypatch, backend):
-    model = build_grid_model((3, 4), 3,
-                             np.random.default_rng(8).random((12, 3)),
-                             [(1.0, 1.5)])
-    cfg = SamplingConfig(20, seed=9,
-                         inference=InferenceConfig(backend=backend))
-    reference = perturb_and_mpm(model, cfg, batch_size=1).labels
+_GRID = build_grid_model((3, 4), 3, np.random.default_rng(8).random((12, 3)),
+                         [(1.0, 1.5)])
+_CHAIN = random_grid_model(12, 4, kernel_weight=2.0)
+
+
+def _mpm(backend):
+    cfg = InferenceConfig(backend=backend)
+    return (lambda count: perturb_and_mpm(
+        _GRID, SamplingConfig(count, seed=9, inference=cfg)).labels,
+        MeanField(_GRID, cfg).sample_values)
+
+
+# each sampler over its draws (perturb_and_mpm by backend), and the
+# values one draw adds to a batch
+SAMPLERS = {
+    "exact": _mpm("exact"),
+    "lattice": _mpm("lattice"),
+    "order1": (lambda count: perturb_and_map_order1_many(_CHAIN, 9, count),
+               2 ** 12),
+    "full-order": (lambda count: perturb_and_map_full_order_many(
+        _CHAIN, 9, count), 2 ** 12),
+    "select": (lambda count: gumbel_max_select_many(
+        np.random.default_rng(6).random(7), 9, count), 7),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_threaded_sampling_is_bitwise_serial(monkeypatch, sampler):
+    sample, values = SAMPLERS[sampler]
+    monkeypatch.setattr(gumbel, "_workers", lambda: 1)
+    monkeypatch.setattr(gumbel, "_BATCH_VALUES", values)  # a draw a batch
+    reference = sample(20)
     for workers in (1, 2, 3, 24):  # 24 is more workers than draws
         _force_split(monkeypatch, workers)
-        for batch_size in (1, 7, 2048):
-            run = perturb_and_mpm(model, cfg, batch_size=batch_size)
-            assert np.array_equal(run.labels, reference)
+        for draws in (1, 7, 20):  # a batch's draws, ceil(20 / workers) at most
+            monkeypatch.setattr(gumbel, "_BATCH_VALUES",
+                                draws * workers * values)
+            assert np.array_equal(sample(20), reference)
 
 
 def _record_batches(monkeypatch):
@@ -416,6 +444,30 @@ def test_split_sampling_peak_is_bounded_by_the_batch_budget(monkeypatch,
     monkeypatch.setattr(gumbel, "_workers", lambda: 1)
     assert np.array_equal(run.labels,
                           perturb_and_mpm(model, cfg, batch_size=1).labels)
+
+
+# each entry point taking a seed, over that seed and its count or draw
+_SEEDED = {
+    "select": (lambda seed, count: gumbel_max_select_many(
+        np.zeros(2), seed, count), "count"),
+    "full-order": (lambda seed, count: perturb_and_map_full_order_many(
+        random_grid_model(3, 0), seed, count), "count"),
+    "order1": (lambda seed, count: perturb_and_map_order1_many(
+        random_grid_model(3, 0), seed, count), "count"),
+    "noise": (lambda seed, t: iteration_noise(seed, t, 3), "t"),
+}
+
+
+@pytest.mark.parametrize("entry", _SEEDED)
+@pytest.mark.parametrize("seed, count, bad", [
+    (1.5, 1, "seed"), (True, 1, "seed"), (-1, 1, "seed"),
+    (2 ** 64, 1, "seed"), (0, 2.5, "count"), (0, True, "count"),
+    (0, -1, "count")])
+def test_samplers_check_their_seed_and_count(entry, seed, count, bad):
+    sample, count_name = _SEEDED[entry]
+    name = count_name if bad == "count" else "seed"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        sample(seed, count)
 
 
 def test_configs_reject_bools_as_integers():

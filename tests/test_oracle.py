@@ -14,6 +14,7 @@ from perturbmpm import (CapacityError, DenseCrfModel,
                         perturb_and_map_order1_many, perturb_and_mpm,
                         total_variation)
 from perturbmpm.evaluation import random_grid_model
+import perturbmpm.gumbel as gumbel
 import perturbmpm.oracle as oracle
 
 
@@ -121,7 +122,7 @@ def test_order1_draw_t_is_exact_map_of_perturbation_t(monkeypatch):
 
     unary = np.random.default_rng(2).random((6, 3))
     model = build_grid_model((2, 3), 3, unary, [(1.0, 1.0)])
-    monkeypatch.setattr(oracle, "_BATCH_VALUES", 3 * 3 ** 6)  # 3 a batch
+    monkeypatch.setattr(gumbel, "_BATCH_VALUES", 3 * 3 ** 6)  # 3 a batch
     draws = perturb_and_map_order1_many(model, 5, 10)
     for t in range(10):
         noise = _noise(5, t, t + 1, (6, 3))[0]
@@ -142,7 +143,7 @@ def test_order1_many_peak_is_one_batch_past_enumeration():
         finally:
             tracemalloc.stop()
     # beyond what enumeration holds, one batch of perturbed energies
-    assert peaks[1] <= peaks[0] + 8 * oracle._BATCH_VALUES
+    assert peaks[1] <= peaks[0] + 8 * gumbel._BATCH_VALUES
 
 
 def test_capacity_guards():
