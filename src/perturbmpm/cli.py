@@ -80,13 +80,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth-experiment",
                        help="sampler-vs-oracle error curves on random grids")
     p.add_argument("--out", required=True, help="error-curve CSV path")
-    p.add_argument("--grids", type=int, nargs="+", default=[6, 9, 12])
+    synth = SyntheticExperimentConfig
+    p.add_argument("--grids", type=int, nargs="+", default=synth.grid_sizes)
     p.add_argument("--samples", type=int, nargs="+",
-                   default=[10, 100, 1000, 10000])
-    p.add_argument("--inits", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log-scale", action="store_true",
-                   help="compare log-probabilities instead of probabilities")
+                   default=synth.sample_counts)
+    p.add_argument("--inits", type=int, default=synth.n_inits)
+    p.add_argument("--seed", type=int, default=synth.base_seed)
 
     p = sub.add_parser("biomarker",
                        help="uncertainty-corrected resection volumes")
@@ -188,7 +187,7 @@ def _cmd_uncertainty(args) -> int:
 def _cmd_synth_experiment(args) -> int:
     cfg = SyntheticExperimentConfig(
         grid_sizes=tuple(args.grids), sample_counts=tuple(args.samples),
-        n_inits=args.inits, base_seed=args.seed, log_scale=args.log_scale)
+        n_inits=args.inits, base_seed=args.seed)
     curve = run_synthetic_experiment(cfg)
     write_error_curve_csv(args.out, curve)
     write_manifest(args.out, "synth-experiment", cfg.echo(), __version__)
@@ -246,12 +245,14 @@ def _cmd_biomarker(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     model = random_grid_model(args.n, args.seed)
-    exact = exact_marginals(enumerate_gibbs(model))
-    run = perturb_and_mpm(model, SamplingConfig(args.samples, seed=args.seed))
-    tv_mpm = total_variation(empirical_marginals(run), exact)
+    cfg = SamplingConfig(args.samples, seed=args.seed)
+    # the full-order sampler first: its state guard is the tighter one
     full = perturb_and_map_full_order_many(model, args.seed, args.samples)
+    exact = exact_marginals(enumerate_gibbs(model))
     tv_full = total_variation(
         empirical_marginals(SampleSet(full, model.n_labels)), exact)
+    run = perturb_and_mpm(model, cfg)
+    tv_mpm = total_variation(empirical_marginals(run), exact)
     print(f"N={args.n} T={args.samples}")
     print(f"TV(full-order perturbation, exact) = {tv_full:.6f}")
     print(f"TV(perturbed MPM, exact)           = {tv_mpm:.6f}")

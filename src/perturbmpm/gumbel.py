@@ -143,7 +143,8 @@ class SampleSet:
 
     def prefix(self, count: int) -> "SampleSet":
         """The first count samples, 0 <= count <= len(self)."""
-        if not 0 <= count <= len(self):
+        _check_integer("prefix count", count, 0)
+        if count > len(self):
             raise ValueError(f"prefix count must be in [0, {len(self)}], "
                              f"got {count!r}")
         return SampleSet(self.labels[:count], self.n_labels)

@@ -61,9 +61,9 @@ from .model import DenseCrfModel, GaussianKernel, kernel_matrix
 BACKENDS = ("exact", "lattice")
 # Iteration caps must be below this: sweep counts are int64.
 _ITERATION_LIMIT = 2 ** 63
-# Kernel entries below the smallest normal double (voxel pairs about 38
-# bandwidths apart) are set to zero: each moves a message by less than
-# 1e-307, and subnormal operands slow BLAS down several-fold.
+# Weighted kernel entries below the smallest normal double (voxel pairs
+# about 38 bandwidths apart) are set to zero: each moves a message by less
+# than 1e-307, and subnormal operands slow BLAS down several-fold.
 _TINY = np.finfo(np.float64).tiny
 # numpy sums a reduced axis of 8 or more terms pairwise, not in order
 _PAIRWISE_LABELS = 8
@@ -182,21 +182,18 @@ def _exact_links(dims, n_labels: int, kernel: GaussianKernel) -> list:
         raise CapacityError(
             f"a {size} x {size} kernel matrix exceeds the exact backend's "
             f"guard of {MAX_MATRIX_VALUES} values; use the lattice backend")
-    if not axes:
-        k = kernel_matrix(kernel)
-        k[k < _TINY] = 0.0
-        return [(k, (-1, n, n_labels))]
-    links = []
+    links = [] if axes else [(kernel_matrix(kernel), (-1, n, n_labels))]
     for a in axes:
         x = np.arange(dims[a], dtype=np.float64) / kernel.bandwidths[a]
         f = np.subtract.outer(x, x)
         f *= f  # bitwise (x_i - x_j) ** 2
         f *= -0.5
         np.exp(f, out=f)
-        f[f < _TINY] = 0.0
         if a == axes[0]:
             f *= kernel.weight
         links.append((f, (-1, dims[a], math.prod(dims[a + 1:]) * n_labels)))
+    for f, _ in links:  # weighted, so the cut-off leaves no subnormal
+        f[f < _TINY] = 0.0
     return links
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perturbmpm import read_pgm, read_tensor, write_pgm, write_tensor
-from perturbmpm.cli import main
+from perturbmpm import SyntheticExperimentConfig, read_pgm, read_tensor, \
+    write_pgm, write_tensor
+from perturbmpm.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -183,6 +184,31 @@ def test_synth_experiment_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "n_voxels,n_samples,sampled_error,mean_field_error"
     assert len(lines) == 3
+
+
+def test_synth_experiment_defaults_are_the_configs():
+    args = _build_parser().parse_args(["synth-experiment", "--out", "c.csv"])
+    assert SyntheticExperimentConfig(
+        tuple(args.grids), tuple(args.samples), args.inits, args.seed) == \
+        SyntheticExperimentConfig()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--n", "21", "--samples", "10000"],
+    ["synth-experiment", "--grids", "6", "25", "--samples", "10",
+     "--inits", "3"]])
+def test_oracle_commands_exit_3_before_sampling(tmp_path, capsys,
+                                                monkeypatch, argv):
+    calls = []
+    for module in ("cli", "evaluation"):
+        monkeypatch.setattr(f"perturbmpm.{module}.perturb_and_mpm",
+                            lambda *args: calls.append(args))
+    if argv[0] == "synth-experiment":
+        argv = argv + ["--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 3
+    assert "pmpm: capacity error:" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def write_biomarker_inputs(tmp_path, n=12):

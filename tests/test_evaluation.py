@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from perturbmpm import (DenseCrfModel, SamplingConfig,
+import perturbmpm.evaluation as evaluation
+from perturbmpm import (CapacityError, DenseCrfModel, SamplingConfig,
                         SyntheticExperimentConfig, compute_eor,
-                        corrected_label_volume, label_volume,
+                        corrected_label_volume, empirical_marginals,
+                        enumerate_gibbs, exact_marginals, label_volume,
+                        mean_field_infer, perturb_and_mpm,
                         run_biomarker_experiment, run_synthetic_experiment,
-                        uncertainty_confusion, unaries_from_probabilities)
+                        total_variation, uncertainty_confusion,
+                        unaries_from_probabilities)
 from perturbmpm.evaluation import random_grid_model
 
 
@@ -34,6 +38,23 @@ def test_synthetic_experiment_tiny():
         curve.row(4, 999)
 
 
+def test_synthetic_experiment_scores_twice_the_total_variation():
+    curve = run_synthetic_experiment(SyntheticExperimentConfig(
+        grid_sizes=(4,), sample_counts=(10, 200), n_inits=1, base_seed=7))
+    seed = evaluation._experiment_seed(7, 4, 0)
+    model = random_grid_model(4, seed, evaluation._KERNEL_WEIGHT,
+                              evaluation._KERNEL_BANDWIDTH)
+    exact = exact_marginals(enumerate_gibbs(model))
+    q, _ = mean_field_infer(model, evaluation._INFERENCE)
+    run = perturb_and_mpm(model, SamplingConfig(
+        200, seed=seed, inference=evaluation._INFERENCE))
+    for count in (10, 200):
+        row = curve.row(4, count)
+        assert row.mean_field_error == 2 * total_variation(q, exact)
+        assert row.sampled_error == 2 * total_variation(
+            empirical_marginals(run.prefix(count)), exact)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SyntheticExperimentConfig(grid_sizes=())
@@ -41,6 +62,18 @@ def test_config_validation():
         SyntheticExperimentConfig(sample_counts=(0,))
     with pytest.raises(ValueError):
         SyntheticExperimentConfig(n_inits=0)
+    for kwargs in (dict(grid_sizes=(True,)), dict(grid_sizes=(6.0,)),
+                   dict(sample_counts=(10, 2.0)), dict(n_inits=True),
+                   dict(n_inits=2.5), dict(base_seed=-1),
+                   dict(base_seed=2 ** 64)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SyntheticExperimentConfig(**kwargs)
+    # 2^25 labelings is over the enumeration guard, and so is 2^(10^9),
+    # which the check never forms
+    for sizes in ((6, 25), (10 ** 9,)):
+        with pytest.raises(CapacityError, match="enumeration guard"):
+            SyntheticExperimentConfig(grid_sizes=sizes)
+    SyntheticExperimentConfig(grid_sizes=(24,))
 
 
 def test_uncertainty_confusion_counts():
@@ -126,3 +159,23 @@ def test_biomarker_correction_improves_rtv():
         SamplingConfig(200, seed=0), target_label=1, threshold=0.1)
     assert report.rtv_error_corrected < report.rtv_error
     assert report.truth_eor == pytest.approx(compute_eor(20.0, 4.0))
+
+
+@pytest.mark.parametrize("threshold, target_label, message", [
+    (float("nan"), 1, "^threshold must be"),
+    (-1.0, 1, "^threshold must be"),
+    (0.1, -1, "^target_label -1 is not a label"),
+    (0.1, 2, "^target_label 2 is not a label")])
+def test_biomarker_inputs_are_checked_before_sampling(
+        monkeypatch, threshold, target_label, message):
+    truth = np.array([1] * 3 + [0] * 3)
+    model = _planted_model(truth, wrong=[3])
+    calls = []
+    monkeypatch.setattr(evaluation, "perturb_and_mpm",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_biomarker_experiment(model, model, truth, truth,
+                                 SamplingConfig(20, seed=0),
+                                 target_label=target_label,
+                                 threshold=threshold)
+    assert calls == []

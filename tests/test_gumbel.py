@@ -96,7 +96,7 @@ def test_sample_set_prefix_takes_only_counts_it_holds():
     s = SampleSet(np.array([[0, 1], [1, 1], [0, 0]]), 2)
     assert len(s.prefix(0)) == 0
     assert np.array_equal(s.prefix(3).labels, s.labels)
-    for count in (-1, -3, 4):
+    for count in (-1, -3, 4, True, 2.0):
         with pytest.raises(ValueError, match="prefix count"):
             s.prefix(count)
 

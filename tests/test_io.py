@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,15 @@ def test_tensor_truncated_payload(tmp_path):
         read_tensor(path)
 
 
+def test_tensor_of_rank_65_is_a_format_error(tmp_path):
+    path = tmp_path / "t.pmt"
+    # numpy arrays hold at most 64 dims: the header reads, the reshape fails
+    path.write_bytes(b"PMPM" + struct.pack("<HHI65Q", 1, 0, 65, *[1] * 65)
+                     + bytes(8))
+    with pytest.raises(FormatError, match="unsupported tensor shape"):
+        read_tensor(path)
+
+
 def test_tensor_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(FormatError):
         write_tensor(tmp_path / "t.pmt", np.zeros(3, dtype=np.complex128))
@@ -93,6 +103,13 @@ def test_pgm_comment_handling(tmp_path):
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes(4))
     img, max_val = read_pgm(path)
     assert img.shape == (2, 2)
+
+
+def test_pgm_write_rejects_a_3d_image(tmp_path):
+    path = tmp_path / "i.pgm"
+    with pytest.raises(FormatError, match="PGM image must be 2-d"):
+        write_pgm(path, np.zeros((2, 2, 3)))
+    assert not path.exists()
 
 
 def test_pgm_rejects_ascii_variant(tmp_path):

@@ -77,6 +77,12 @@ def test_rejects_bad_values_shape():
         lattice.filter(np.ones(5))
 
 
+def test_rejects_features_that_are_not_2d():
+    for features in (np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"\(N, d\) array"):
+            PermutohedralLattice(features)
+
+
 def test_filter_columns_are_independent_bitwise():
     lattice = PermutohedralLattice(grid_coordinates((20, 24)) / 2.0)
     values = np.random.default_rng(2).random((480, 96))

@@ -117,6 +117,16 @@ def test_far_pairs_underflow_to_zero():
     assert err.max() <= 1e-12
 
 
+def test_weighted_axis_factors_hold_no_subnormal_entry():
+    # weight 0.25 scales entries just above the smallest normal double
+    # below it; the cut-off comes after the weight
+    kernel = GaussianKernel(0.25, grid_coordinates((96, 96)), (1.01, 1.01))
+    tiny = np.finfo(np.float64).tiny
+    for k, _ in meanfield._exact_links((96, 96), 3, kernel):
+        assert k.min() == 0.0
+        assert np.all((k == 0.0) | (k >= tiny))
+
+
 @pytest.mark.parametrize("reorder", ["permuted", "random"])
 def test_non_grid_features_take_dense_path(reorder):
     dims = (4, 5)

@@ -108,6 +108,15 @@ def test_model_validation():
         GaussianKernel(-1.0, np.zeros((2, 1)), np.ones(1))
     with pytest.raises(ModelShapeError):
         GaussianKernel(1.0, np.zeros((2, 1)), np.zeros(1))
+    with pytest.raises(ModelShapeError, match="expected a 2-d array"):
+        DenseCrfModel((2,), 2, np.zeros((2, 2, 1)))
+    with pytest.raises(ModelShapeError, match="does not match 1 bandwidths"):
+        GaussianKernel(1.0, np.zeros((2, 2)), np.ones(1))
+    with pytest.raises(ModelShapeError, match="features must be finite"):
+        GaussianKernel(1.0, np.array([[0.0], [np.nan]]), np.ones(1))
+    with pytest.raises(ModelShapeError, match="3 feature rows, expected 2"):
+        DenseCrfModel((2,), 2, np.zeros((2, 2)),
+                      (GaussianKernel(1.0, np.zeros((3, 1)), np.ones(1)),))
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1e-300])
