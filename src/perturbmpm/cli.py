@@ -9,6 +9,7 @@ manifest recording the resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import textwrap
 
@@ -23,8 +24,8 @@ from .gumbel import SampleSet, SamplingConfig, check_seed, \
     empirical_marginals, perturb_and_mpm
 from .meanfield import BACKENDS, MeanField, mpm_decode
 from .metrics import entropy_map, required_sample_size, total_variation
-from .oracle import enumerate_gibbs, exact_marginals, \
-    perturb_and_map_full_order_many
+from .oracle import _check_full_order, _full_order_draws, enumerate_gibbs, \
+    exact_marginals
 from .tensorio import entropy_heatmap_image, read_tensor, \
     write_biomarker_csv, write_error_curve_csv, write_manifest, \
     write_marginals_csv, write_pgm, write_tensor, write_uncertainty_csv
@@ -42,7 +43,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use: argparse
+    formats every argument as it is added, so a build costs more than most
+    runs' parsing.  Parsing leaves the parser as it was (each call gets a
+    fresh namespace), so repeated in-process `main` calls share it."""
     parser = _Parser(prog="pmpm",
                      description="Approximate CRF sampling by Gumbel "
                                  "perturbation and mean-field MPM decoding.")
@@ -246,9 +252,11 @@ def _cmd_biomarker(args) -> int:
 def _cmd_oracle_check(args) -> int:
     model = random_grid_model(args.n, args.seed)
     cfg = SamplingConfig(args.samples, seed=args.seed)
-    # the full-order sampler first: its state guard is the tighter one
-    full = perturb_and_map_full_order_many(model, args.seed, args.samples)
-    exact = exact_marginals(enumerate_gibbs(model))
+    # the full-order sampler's state guard first: it is the tighter one
+    _check_full_order(model)
+    dist = enumerate_gibbs(model)
+    full = _full_order_draws(dist.energies, model, args.seed, args.samples)
+    exact = exact_marginals(dist)
     tv_full = total_variation(
         empirical_marginals(SampleSet(full, model.n_labels)), exact)
     run = perturb_and_mpm(model, cfg)

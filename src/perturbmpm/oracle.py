@@ -128,18 +128,30 @@ def exact_map(model: DenseCrfModel) -> np.ndarray:
     return _exact_maps(_pair_energies(model)[None], model.unary[None])[0]
 
 
-def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
-                                    count: int) -> np.ndarray:
-    """Exact Gibbs draws: perturb every labeling's energy with draw t of
-    the seed, take the argmin (Gumbel-max over the labelings)."""
+def _check_full_order(model: DenseCrfModel) -> None:
+    """Raise CapacityError when model has too many labelings to perturb
+    each one; this guard is tighter than enumeration's."""
     total = n_states(model)
     if total > MAX_PERTURB_STATES:
         raise CapacityError(
             f"{total} labelings exceeds the full-order perturbation guard "
             f"of {MAX_PERTURB_STATES}")
-    return decode_labeling(
-        gumbel_max_select_many(_all_energies(model), seed, count),
-        model.n_voxels, model.n_labels)
+
+
+def _full_order_draws(energies: np.ndarray, model: DenseCrfModel, seed: int,
+                      count: int) -> np.ndarray:
+    """Full-order draws of model from its labelings' energies in code order
+    (`_all_energies`, or an ExactDistribution's), which this reuses."""
+    return decode_labeling(gumbel_max_select_many(energies, seed, count),
+                           model.n_voxels, model.n_labels)
+
+
+def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
+                                    count: int) -> np.ndarray:
+    """Exact Gibbs draws: perturb every labeling's energy with draw t of
+    the seed, take the argmin (Gumbel-max over the labelings)."""
+    _check_full_order(model)
+    return _full_order_draws(_all_energies(model), model, seed, count)
 
 
 def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,

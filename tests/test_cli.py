@@ -34,6 +34,47 @@ def test_unknown_flag_is_usage_error(model_cfg):
     assert main(["sample", "--model", str(model_cfg), "--bogus"]) == 1
 
 
+def run_in_process(calls, out, capsys, fresh_parser=False):
+    """Run each argv of calls through one process's `main`, in turn, with
+    outputs under out; returns each call's exit code, stdout and stderr,
+    and the bytes of every file out then holds.  fresh_parser rebuilds the
+    parser before every call."""
+    results = []
+    for argv in calls:
+        if fresh_parser:
+            _build_parser.cache_clear()
+        code = main([str(a) for a in argv])
+        results.append((code, *capsys.readouterr()))
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return results, files
+
+
+def test_in_process_calls_carry_no_state(model_cfg, tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    out = tmp_path / "out"
+    out.mkdir()
+    model = ["--model", model_cfg]
+    calls = [["sample", *model, "--seed", "5", "--out", out / "a.pmt"],
+             ["sample", *model, "--out", out / "b.pmt"],
+             ["sample", *model, "--seed", "3", "--out", out / "c.pmt"],
+             ["infer", *model, "--out", out / "q.pmt", "--csv", out / "q.csv"],
+             ["infer", *model, "--out", out / "r.pmt"],
+             ["sample", *model, "--bogus"],
+             ["infer", "--model", tmp_path / "nope.cfg", "--out", out / "x"],
+             ["uncertainty", *model, "--out", out / "h.pmt"]]
+    results, files = run_in_process(calls, out, capsys)
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 0, 1, 2, 0]
+    # without --seed, the config's seed (3), not the last call's
+    assert files["b.pmt"] == files["c.pmt"] != files["a.pmt"]
+    # without --csv, no CSV
+    assert [name for name in files if name.startswith("r.")] == \
+        ["r.pmt", "r.pmt.manifest.txt"]
+    for name in list(files):
+        (out / name).unlink()
+    assert run_in_process(calls, out, capsys, fresh_parser=True) == \
+        (results, files)
+
+
 def test_infer_writes_marginals(model_cfg, tmp_path, capsys):
     out = tmp_path / "q.pmt"
     csv = tmp_path / "q.csv"

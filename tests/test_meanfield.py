@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -30,7 +31,7 @@ def assert_marginal_field(q, atol=1e-9):
 
 def test_init_is_softmax_of_negated_unaries():
     model = grid_model()
-    q = meanfield._softmax_neg(model.unary, np.empty_like(model.unary))
+    q = meanfield._bind_softmax(model.unary, np.empty_like(model.unary))()
     assert np.allclose(q, softmax(-model.unary, axis=1))
     assert_marginal_field(q)
 
@@ -447,20 +448,64 @@ def reduction_softmax_neg(e):
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8, 9])
 def test_softmax_neg_bitwise_equals_reduction_form(m):
-    rng = np.random.default_rng(m)
-    e = rng.normal(size=(6, 50, m))
+    e = np.random.default_rng(m).normal(size=(6, 50, m))
     e[0] *= 1e3
     e[1, :10, 1:] = e[1, :10, :1]       # rows tied throughout
     e[1, 10:20, -1] = e[1, 10:20, 0]    # one tie with the first label
     e[2, :10, m // 2] = np.inf          # a zero-probability label
-    got = meanfield._softmax_neg(e, np.empty_like(e))
-    assert np.array_equal(got, reduction_softmax_neg(e))
-    assert np.all(got[2, :10, m // 2] == 0.0)
-    assert np.array_equal(meanfield._softmax_neg(e[3, 0], np.empty(m)),
-                          reduction_softmax_neg(e[3, 0]))
-    in_place = e.copy()
-    assert meanfield._softmax_neg(in_place, in_place) is in_place
-    assert np.array_equal(in_place, got)
+    # bound once, then rerun on new contents, as each sweep reruns it
+    for shape in (e.shape, e.shape[1:], (m,)):
+        field = np.empty(shape)
+        out = np.empty(shape)
+        in_place = meanfield._bind_softmax(field, field,
+                                           np.empty(shape[:-1]))
+        into = meanfield._bind_softmax(field, out)
+        for k in range(e.shape[0]):
+            rows = np.roll(e.reshape(-1, m), -50 * k, axis=0)
+            np.copyto(field, rows[:math.prod(shape[:-1])].reshape(shape))
+            want = reduction_softmax_neg(field)
+            assert into() is out and np.array_equal(out, want)
+            if shape == e.shape and k == 0:
+                assert np.all(out[2, :10, m // 2] == 0.0)
+            assert in_place() is field and np.array_equal(field, want)
+
+
+@pytest.mark.parametrize("backend", ["exact", "lattice"])
+def test_bound_softmax_follows_a_shrinking_reordered_active_set(
+        monkeypatch, backend):
+    model = build_grid_model((4, 5), 3, np.zeros((20, 3)),
+                             [(0.8, (1.0, 2.0))])
+    rng = np.random.default_rng(7)
+    # flat to peaked unaries, shuffled: entries converge at different
+    # sweeps, some before entries behind them, so the slots reorder
+    unaries = rng.normal(size=(12, 20, 3)) * rng.permutation(
+        np.geomspace(0.05, 20.0, 12))[:, None, None]
+    cfg = InferenceConfig(max_iterations=25, convergence_tol=1e-9,
+                          backend=backend)
+    solver = MeanField(model, cfg)
+    want = reference_infer(solver, unaries)
+    first = want[1] == want[1].min()
+    assert np.flatnonzero(first)[0] < np.flatnonzero(~first)[-1]
+    runs = []
+    original = meanfield._bind_softmax
+
+    def recording(e, out, scratch=None):
+        run = original(e, out, scratch)
+
+        def counted():
+            runs.append(e.shape[0])
+            return run()
+        return counted
+
+    monkeypatch.setattr(meanfield, "_bind_softmax", recording)
+    got = solver.infer(unaries)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+    # the start's softmax, then each sweep's over its active entries alone
+    iterations = want[1]
+    active = [np.count_nonzero(iterations > it)
+              for it in range(iterations.max())]
+    assert runs == [len(unaries)] + active and len(set(active)) >= 4
 
 
 @pytest.mark.parametrize("dims, backend, n_samples", [
@@ -473,13 +518,20 @@ def test_sampled_labels_bitwise_equal_reduction_softmax(
     cfg = SamplingConfig(n_samples, seed=4,
                          inference=InferenceConfig(backend=backend))
     sliced = perturb_and_mpm(model, cfg).labels
+    in_place = []
 
-    def reduction_into(e, out, scratch=None):
-        out[...] = reduction_softmax_neg(e)
-        return out
+    def reduction_bound(e, out, scratch=None):
+        def run():
+            in_place.append(out is e)
+            out[...] = reduction_softmax_neg(e)
+            return out
+        return run
 
-    monkeypatch.setattr(meanfield, "_softmax_neg", reduction_into)
+    # every softmax a solve runs is bound here: each solve's first, from
+    # the unaries into q, and the sweeps', in place
+    monkeypatch.setattr(meanfield, "_bind_softmax", reduction_bound)
     assert np.array_equal(sliced, perturb_and_mpm(model, cfg).labels)
+    assert any(in_place) and not all(in_place)
 
 
 def test_split_lattice_filter_calls_hold_at_most_a_workers_share(monkeypatch):
