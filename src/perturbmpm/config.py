@@ -18,10 +18,15 @@ Schema (one `key = value` per line, '#' comments, blank lines ignored):
 
 `unary` and `prob_map` are mutually exclusive; with neither, unaries are
 uniform.  Relative paths resolve against the config file's directory.
-Other keys default to their `RunConfig` field's default.  `RunConfig` reads
-each value's text as a file line is read, so values from a file, a flag
-(`RunConfig.override`) or a caller are checked alike; a `ConfigError`
-names the key.
+Other keys default to their `RunConfig` field's default.
+
+Each key's rule is that of the object that takes its value, quoted after
+the key and a file's line: `run.cfg:3: samples: n_samples must be an
+integer >= 1, got 0`.  `dims`, `labels` and `kernel` are checked here, as
+their model exists only after `load_model`, which rejects a sigma under
+about 1e-154 times the grid's extent (on the lattice backend, 1.2e-8 on a
+4 x 4 grid).  `RunConfig` keeps only values its echo gives back, so a
+file, a flag (`RunConfig.override`) and a caller are checked alike.
 """
 from __future__ import annotations
 
@@ -32,9 +37,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_number
 from .gumbel import SamplingConfig, check_seed
-from .meanfield import _ITERATION_LIMIT, BACKENDS, InferenceConfig
+from .meanfield import InferenceConfig
 from .metrics import required_sample_size
 from .model import DenseCrfModel, build_grid_model, unaries_from_probabilities
 from .tensorio import read_pgm, read_tensor
@@ -59,8 +64,12 @@ class RunConfig:
 
     def __post_init__(self):
         for key, value in self._lines():
+            text = _text(value)
             try:
-                _SETTINGS[key].read(_text(value))
+                read = _SETTINGS[key].read(text)
+                if read != value:  # such as the string "5" for samples
+                    raise ValueError(f"{text!r} reads as {read!r}, not "
+                                     f"{value!r}")
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
         if self.unary_path and self.prob_map_paths:
@@ -72,9 +81,6 @@ class RunConfig:
             raise ConfigError("epsilon and delta must be given together")
         ndims = len(self.dims)
         for _, sigmas in self.kernels:
-            if not isinstance(sigmas, tuple):
-                raise ConfigError(
-                    f"kernel: sigmas must be a tuple, got {sigmas!r}")
             if len(sigmas) not in (1, ndims):
                 raise ConfigError(
                     f"kernel has {len(sigmas)} sigmas for a {ndims}-d grid "
@@ -121,9 +127,6 @@ def _text(value) -> str:
         else str(value)
 
 
-# A parser turns a value's text into the value or raises ValueError; a
-# check returns the problem with a parsed value, or None.
-
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -141,31 +144,37 @@ def _float(text: str) -> float:
     return value
 
 
+# dims, labels and kernel are checked as they are parsed: the model that
+# owns them does not exist until load_model, and raises ModelShapeError.
+
+def _dims(text: str) -> tuple[int, ...]:
+    dims = tuple(map(_int, text.split()))
+    if min(dims) < 1:
+        raise ValueError("dimensions must be positive")
+    return dims
+
+
+def _labels(text: str) -> int:
+    n_labels = _int(text)
+    if n_labels < 2:
+        raise ValueError("need at least 2 labels")
+    return n_labels
+
+
 def _kernel(text: str) -> tuple[float, tuple[float, ...]]:
     parts = [_float(t) for t in text.split()]
     if len(parts) < 2:
         raise ValueError("expected a weight and at least one sigma")
+    if parts[0] < 0 or min(parts[1:]) <= 0:
+        raise ValueError("weight must be >= 0 and sigmas > 0")
     return parts[0], tuple(parts[1:])
-
-
-def _check_seed(seed: int) -> str | None:
-    try:
-        check_seed(seed)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def _rule(ok: Callable[[Any], bool], problem: str):
-    """A check that reports problem for a value that is not ok."""
-    return lambda value: None if ok(value) else problem
 
 
 @dataclasses.dataclass(frozen=True)
 class _Setting:
     field: str
-    parse: Callable[[str], Any]
-    check: Callable[[Any], str | None] = lambda value: None
+    parse: Callable[[str], Any]  # text to value, or ValueError
+    check: Callable[[Any], Any] = lambda value: None  # ValueError if bad
     repeated: bool = False  # one tuple item per config line
 
     def read(self, text: str):
@@ -173,38 +182,30 @@ class _Setting:
         if not text:
             raise ValueError("missing value")
         value = self.parse(text)
-        problem = self.check(value)
-        if problem:
-            raise ValueError(problem)
+        self.check(value)
         return value
 
 
-_AT_LEAST_1 = _rule(lambda v: v >= 1, "must be >= 1")
-_INT64_COUNT = _rule(lambda v: v < _ITERATION_LIMIT, "must be < 2**63")
-_NON_NEGATIVE = _rule(lambda v: v >= 0, "must be non-negative")
-_FRACTION = _rule(lambda v: 0 < v < 1, "must lie in (0, 1)")
 # Config keys in file and echo order.
 _SETTINGS = {
-    "dims": _Setting("dims", lambda text: tuple(map(_int, text.split())),
-                     _rule(lambda v: min(v) >= 1,
-                           "dimensions must be positive")),
-    "labels": _Setting("n_labels", _int,
-                       _rule(lambda v: v >= 2, "need at least 2 labels")),
+    "dims": _Setting("dims", _dims),
+    "labels": _Setting("n_labels", _labels),
     "unary": _Setting("unary_path", str),
     "prob_map": _Setting("prob_map_paths", lambda text: tuple(text.split())),
-    "kernel": _Setting("kernels", _kernel, _rule(
-        lambda k: k[0] >= 0 and min(k[1]) > 0,
-        "weight must be >= 0 and sigmas > 0"), repeated=True),
-    "seed": _Setting("seed", _int, _check_seed),
-    "samples": _Setting("n_samples", _int, _AT_LEAST_1),
-    "backend": _Setting("backend", str, _rule(
-        lambda v: v in BACKENDS, f"must be one of {', '.join(BACKENDS)}")),
-    "threshold": _Setting("threshold", _float, _NON_NEGATIVE),
+    "kernel": _Setting("kernels", _kernel, repeated=True),
+    "seed": _Setting("seed", _int, check_seed),
+    "samples": _Setting("n_samples", _int, SamplingConfig),
+    "backend": _Setting("backend", str, lambda v: InferenceConfig(backend=v)),
+    "threshold": _Setting("threshold", _float, lambda v: _check_number(
+        "threshold", v, 0, math.inf)),
     "iterations": _Setting("max_iterations", _int,
-                           lambda v: _AT_LEAST_1(v) or _INT64_COUNT(v)),
-    "tol": _Setting("convergence_tol", _float, _NON_NEGATIVE),
-    "epsilon": _Setting("epsilon", _float, _FRACTION),
-    "delta": _Setting("delta", _float, _FRACTION),
+                           lambda v: InferenceConfig(max_iterations=v)),
+    "tol": _Setting("convergence_tol", _float,
+                    lambda v: InferenceConfig(convergence_tol=v)),
+    "epsilon": _Setting("epsilon", _float, lambda v: _check_number(
+        "epsilon", v, 0, 1, low_open=True)),
+    "delta": _Setting("delta", _float, lambda v: _check_number(
+        "delta", v, 0, 1, low_open=True)),
 }
 
 
@@ -228,9 +229,7 @@ def parse_config(path) -> RunConfig:
             continue
         if "=" not in line:
             _fail(path, lineno, f"expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         setting = _SETTINGS.get(key)
         if setting is None:
             _fail(path, lineno, f"unknown key {key!r}")

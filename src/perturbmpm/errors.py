@@ -1,4 +1,4 @@
-"""Exceptions, the allocation guard and the integer check of the package."""
+"""Exceptions, the allocation guard and the argument checks of the package."""
 
 import numpy as np
 
@@ -35,3 +35,13 @@ def _check_integer(name: str, value, low: int, bits: int | None = None):
             or value < low or bits is not None and value >= 2 ** bits:
         within = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
         raise ValueError(f"{name} must be an integer {within}, got {value!r}")
+
+
+def _check_number(name: str, value, low: float, high: float, low_open=False):
+    """Raise ValueError naming the argument unless value is a real number,
+    not a bool, in [low, high), or in (low, high) if low_open."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) \
+            or isinstance(value, bool) or not value < high \
+            or not (low < value if low_open else low <= value):
+        within = f"{'(' if low_open else '['}{low}, {high})"
+        raise ValueError(f"{name} must be a number in {within}, got {value!r}")

@@ -5,10 +5,11 @@ uncertainty-corrected resection biomarkers on synthetic volumes.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from .errors import CapacityError, _check_integer
+from .errors import CapacityError, _check_integer, _check_number
 from .gumbel import SamplingConfig, check_seed, empirical_marginals, \
     perturb_and_mpm
 from .meanfield import InferenceConfig, mean_field_infer, mpm_decode
@@ -133,13 +134,6 @@ class UncertaintyConfusion:
         return self.tn / (self.tn + self.fp) if self.tn + self.fp else float("nan")
 
 
-def _check_threshold(threshold: float) -> None:
-    """Raise ValueError unless threshold is a finite number >= 0."""
-    if not (np.isfinite(threshold) and threshold >= 0):
-        raise ValueError(
-            f"threshold must be a finite number >= 0, got {threshold!r}")
-
-
 def uncertainty_confusion(pred: np.ndarray, truth: np.ndarray,
                           uncertainty: np.ndarray, threshold: float = 0.0,
                           roi: np.ndarray | None = None) -> UncertaintyConfusion:
@@ -153,7 +147,7 @@ def uncertainty_confusion(pred: np.ndarray, truth: np.ndarray,
     uncertainty = np.asarray(uncertainty)
     if not pred.shape == truth.shape == uncertainty.shape:
         raise ValueError("pred, truth and uncertainty must share a shape")
-    _check_threshold(threshold)
+    _check_number("threshold", threshold, 0, math.inf)
     mask = np.ones(pred.shape, dtype=bool) if roi is None else np.asarray(roi, bool)
     if mask.shape != pred.shape:
         raise ValueError("roi mask shape does not match")
@@ -168,10 +162,8 @@ def uncertainty_confusion(pred: np.ndarray, truth: np.ndarray,
 
 def compute_eor(v_pre: float, v_post: float) -> float:
     """Extent of resection (V_pre - V_post) / V_pre; 1 = complete resection."""
-    if v_pre <= 0:
-        raise ValueError("preoperative volume must be positive")
-    if v_post < 0:
-        raise ValueError("postoperative volume must be non-negative")
+    _check_number("preoperative volume", v_pre, 0, math.inf, low_open=True)
+    _check_number("postoperative volume", v_post, 0, math.inf)
     return (v_pre - v_post) / v_pre
 
 
@@ -183,7 +175,7 @@ def corrected_label_volume(pred: np.ndarray, uncertainty: np.ndarray,
     uncertainty = np.asarray(uncertainty)
     if pred.shape != uncertainty.shape:
         raise ValueError("pred and uncertainty must share a shape")
-    _check_threshold(threshold)
+    _check_number("threshold", threshold, 0, math.inf)
     keep = (pred == target_label) & (uncertainty <= threshold)
     return float(np.sum(keep))
 
@@ -232,27 +224,28 @@ def run_biomarker_experiment(pre_model: DenseCrfModel,
 
     The segmentation is the consensus (argmax) of the empirical marginals;
     the corrected volumes drop voxels whose entropy exceeds the threshold.
-    A bad threshold or target label raises ValueError before any sampling.
+    A bad threshold or target label, or a preoperative truth without the
+    target label, raises ValueError before any sampling.
     """
-    _check_threshold(threshold)
-    if not 0 <= target_label < min(pre_model.n_labels, post_model.n_labels):
+    _check_number("threshold", threshold, 0, math.inf)
+    _check_integer("target_label", target_label, 0)
+    if target_label >= min(pre_model.n_labels, post_model.n_labels):
         raise ValueError(f"target_label {target_label!r} is not a label of "
                          "both models")
-    segs = []
-    for mdl in (pre_model, post_model):
-        marginals = empirical_marginals(perturb_and_mpm(mdl, cfg))
-        segs.append((mpm_decode(marginals), entropy_map(marginals)))
-    (pre_seg, pre_u), (post_seg, post_u) = segs
     truth_v_pre = label_volume(truth_pre, target_label)
     truth_v_post = label_volume(truth_post, target_label)
-    v_pre = label_volume(pre_seg, target_label)
-    v_post = label_volume(post_seg, target_label)
-    v_pre_c = corrected_label_volume(pre_seg, pre_u, threshold, target_label)
-    v_post_c = corrected_label_volume(post_seg, post_u, threshold,
-                                      target_label)
+    truth_eor = compute_eor(truth_v_pre, truth_v_post)
+    volumes = []
+    for mdl in (pre_model, post_model):
+        marginals = empirical_marginals(perturb_and_mpm(mdl, cfg))
+        seg = mpm_decode(marginals)
+        corrected = corrected_label_volume(seg, entropy_map(marginals),
+                                           threshold, target_label)
+        volumes.append((label_volume(seg, target_label), corrected))
+    (v_pre, v_pre_c), (v_post, v_post_c) = volumes
     return BiomarkerReport(
         truth_v_pre=truth_v_pre, truth_v_post=truth_v_post,
-        truth_eor=compute_eor(truth_v_pre, truth_v_post),
+        truth_eor=truth_eor,
         v_pre=v_pre, v_post=v_post, eor=compute_eor(v_pre, v_post),
         v_pre_corrected=v_pre_c, v_post_corrected=v_post_c,
         eor_corrected=compute_eor(v_pre_c, v_post_c))

@@ -112,6 +112,9 @@ class PermutohedralLattice:
             elevated[:, i] = sm - i * cf[:, i - 1]
             sm += cf[:, i - 1]
         elevated[:, 0] = sm
+        # from 2**52 on no fraction bits place a point inside its simplex
+        if not np.abs(elevated).max(initial=0.0) < 2.0 ** 52:
+            raise ValueError("lattice key range too large to encode")
 
         # Nearest lattice point with coordinates that are multiples of d+1,
         # then repair the zero-sum constraint using the coordinate ranks.

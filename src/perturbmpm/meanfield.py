@@ -58,13 +58,11 @@ import math
 import numpy as np
 
 from .errors import (MAX_MATRIX_VALUES, CapacityError, ModelShapeError,
-                     _check_integer)
+                     _check_integer, _check_number)
 from .lattice import PermutohedralLattice
 from .model import DenseCrfModel, GaussianKernel, kernel_matrix
 
 BACKENDS = ("exact", "lattice")
-# Iteration caps must be below this: sweep counts are int64.
-_ITERATION_LIMIT = 2 ** 63
 # Weighted kernel entries below the smallest normal double (voxel pairs
 # about 38 bandwidths apart) are set to zero: each moves a message by less
 # than 1e-307, and subnormal operands slow BLAS down several-fold.
@@ -82,12 +80,12 @@ class InferenceConfig:
     backend: str = "exact"
 
     def __post_init__(self):
+        # sweep counts are int64
         _check_integer("max_iterations", self.max_iterations, 1, 63)
-        if not 0 <= self.convergence_tol < math.inf:
-            raise ValueError("convergence_tol must be finite and "
-                             f"non-negative, got {self.convergence_tol!r}")
+        _check_number("convergence_tol", self.convergence_tol, 0, math.inf)
         if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
+            raise ValueError(f"backend must be one of {', '.join(BACKENDS)}"
+                             f", got {self.backend!r}")
 
 
 def _over_labels(ufunc, a: np.ndarray, labels: np.ndarray, out: np.ndarray):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .errors import _check_integer, _check_number
+
 
 def hamming_loss(x1: np.ndarray, x2: np.ndarray) -> float:
     """Fraction of voxels where the two label maps disagree."""
@@ -54,12 +56,9 @@ def binary_entropy(p: float) -> float:
 def required_sample_size(epsilon: float, delta: float, m: int = 1) -> int:
     """Samples needed so every one of m label frequencies is within epsilon
     of its mean with probability at least 1 - delta (Hoeffding + union)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_number("epsilon", epsilon, 0, 1, low_open=True)
+    _check_number("delta", delta, 0, 1, low_open=True)
+    _check_integer("m", m, 1)
     # ceil(log_term / (2 epsilon^2)) in exact integer arithmetic: for
     # epsilon below about 1e-154 a float quotient overflows, though the
     # count is still a finite integer.
@@ -73,6 +72,5 @@ def entropy_error_bound(tv: float, m: int) -> float:
     """Upper bound on |H(P) - H(Q)| in bits given their TV distance."""
     if not 0.0 <= tv <= 1.0:
         raise ValueError("tv must lie in [0, 1]")
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _check_integer("m", m, 2)
     return tv * math.log2(m - 1) + binary_entropy(tv)

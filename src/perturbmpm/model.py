@@ -48,6 +48,12 @@ class GaussianKernel:
                 f"{bandwidths.shape[0]} bandwidths")
         if not np.all(np.isfinite(features)):
             raise ModelShapeError("kernel features must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = features / bandwidths
+            span = np.ptp(scaled, axis=0) if len(scaled) else 0.0
+            if not np.isfinite(np.dot(span, span)):  # largest squared distance
+                raise ModelShapeError("kernel bandwidths too small: "
+                                      "(features / bandwidths) span overflows")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "bandwidths", bandwidths)
         object.__setattr__(self, "weight", float(self.weight))

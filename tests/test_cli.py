@@ -396,8 +396,9 @@ def test_biomarker_rejects_target_label_out_of_range(tmp_path, capsys, label):
     argv = write_biomarker_inputs(tmp_path)
     out = tmp_path / "r.csv"
     assert main(argv + ["--target-label", label, "--out", str(out)]) == 2
-    assert f"--target-label must lie in [0, 2), got {label}" in \
-        capsys.readouterr().err
+    expected = "target_label must be an integer >= 0, got -1" \
+        if label == "-1" else f"target_label {label} is not a label of both"
+    assert f"pmpm: error: {expected}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -410,5 +411,55 @@ def test_an_iteration_cap_beyond_int64_is_a_data_error(
                    + f"backend = {backend}\niterations = {10 ** 20 - 1}\n")
     out = tmp_path / "t.pmt"
     assert main([command, "--model", str(cfg), "--out", str(out)]) == 2
-    assert "iterations: must be < 2**63" in capsys.readouterr().err
+    assert f"{cfg}:8: iterations: max_iterations must be an integer in " \
+        "[1, 2**63)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key, message", [
+    ("seed = -1", "seed", "seed must be an integer in [0, 2**64), got -1"),
+    ("samples = 0", "samples", "n_samples must be an integer >= 1, got 0"),
+    ("iterations = 0", "iterations",
+     "max_iterations must be an integer in [1, 2**63), got 0"),
+    ("tol = -1", "tol", "convergence_tol must be a number in [0, inf), "
+     "got -1.0"),
+    ("backend = gpu", "backend",
+     "backend must be one of exact, lattice, got 'gpu'"),
+    ("threshold = -1", "threshold",
+     "threshold must be a number in [0, inf), got -1.0"),
+    ("epsilon = 1.5\ndelta = 0.05", "epsilon",
+     "epsilon must be a number in (0, 1), got 1.5"),
+    ("delta = 0\nepsilon = 0.1", "delta",
+     "delta must be a number in (0, 1), got 0.0")])
+def test_a_bad_config_value_is_located_and_writes_nothing(tmp_path, capsys,
+                                                         line, key, message):
+    # the rule of each key is the check of the object that takes its value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dims = 4 4\nlabels = 2\n{line}\n")
+    out = tmp_path / "s.pmt"
+    assert main(["sample", "--model", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"pmpm: error: {cfg}:3: {key}: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("sigma, backend, error", [
+    ("1e-320", "exact", "kernel bandwidths too small"),
+    ("1e-320", "lattice", "kernel bandwidths too small"),
+    # a kernel of 1 on each voxel and 0 between voxels: the exact backend
+    # leaves the unaries alone
+    ("1e-17", "exact", None),
+    ("1e-17", "lattice", "lattice key range too large to encode")])
+def test_tiny_kernel_bandwidths(tmp_path, capsys, sigma, backend, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dims = 4 4\nlabels = 2\nkernel = 1.0 {sigma}\n"
+                   f"backend = {backend}\n")
+    out = tmp_path / "q.pmt"
+    code = main(["infer", "--model", str(cfg), "--out", str(out)])
+    if error is None:
+        assert code == 0
+        assert np.array_equal(read_tensor(out), np.full((16, 2), 0.5))
+        return
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"pmpm: error: {error}")
+    assert list(tmp_path.iterdir()) == [cfg]

@@ -191,24 +191,30 @@ delta = 0.05
     assert cfg.echo() == text + "# required_sample_size = 220"
 
 
+# an explicit id names the key and the rule its case checks
 @pytest.mark.parametrize("fields, message", [
     (dict(dims=(0,), n_labels=1, backend="gpu", threshold=-2.0),
      "dims: dimensions must be positive"),
     (dict(dims=(), n_labels=2), "dims: missing value"),
     (dict(dims=(4,), n_labels=1), "labels: need at least 2 labels"),
-    (dict(dims=(4,), n_labels=2, backend="gpu"),
-     "backend: must be one of exact, lattice"),
-    (dict(dims=(4,), n_labels=2, threshold=-2.0),
-     "threshold: must be non-negative"),
+    pytest.param(dict(dims=(4,), n_labels=2, backend="gpu"),
+                 "backend: backend must be one of exact, lattice, got 'gpu'",
+                 id="fields3-backend: must be one of exact, lattice"),
+    pytest.param(dict(dims=(4,), n_labels=2, threshold=-2.0),
+                 "threshold: threshold must be a number in [0, inf), "
+                 "got -2.0", id="fields4-threshold: must be non-negative"),
     (dict(dims=(4,), n_labels=2, threshold=float("nan")),
      "threshold: expected a finite number"),
     (dict(dims=(4,), n_labels=2, convergence_tol=float("inf")),
      "tol: expected a finite number"),
-    (dict(dims=(4,), n_labels=2, n_samples=0), "samples: must be >= 1"),
+    pytest.param(dict(dims=(4,), n_labels=2, n_samples=0),
+                 "samples: n_samples must be an integer >= 1, got 0",
+                 id="fields7-samples: must be >= 1"),
     (dict(dims=(4,), n_labels=2, n_samples=2.5),
      "samples: expected an integer"),
-    (dict(dims=(4,), n_labels=2, max_iterations=0),
-     "iterations: must be >= 1"),
+    pytest.param(dict(dims=(4,), n_labels=2, max_iterations=0),
+                 "iterations: max_iterations must be an integer in "
+                 "[1, 2**63), got 0", id="fields9-iterations: must be >= 1"),
     (dict(dims=(4,), n_labels=2, seed=-1), "seed: seed must be an integer"),
     (dict(dims=(4,), n_labels=2, kernels=((1.0, ()),)),
      "kernel: expected a weight and at least one sigma"),
@@ -216,8 +222,9 @@ delta = 0.05
      "kernel: weight must be >= 0 and sigmas > 0"),
     (dict(dims=(4, 4, 4), n_labels=2, kernels=((1.0, (1.0, 2.0)),)),
      "kernel has 2 sigmas for a 3-d grid"),
-    (dict(dims=(4,), n_labels=2, epsilon=1.5, delta=0.1),
-     "epsilon: must lie in (0, 1)"),
+    pytest.param(dict(dims=(4,), n_labels=2, epsilon=1.5, delta=0.1),
+                 "epsilon: epsilon must be a number in (0, 1), got 1.5",
+                 id="fields14-epsilon: must lie in (0, 1)"),
     (dict(dims=(4,), n_labels=2, delta=0.1),
      "epsilon and delta must be given together"),
     (dict(dims=(4,), n_labels=2, unary_path="u.pmt",
@@ -225,8 +232,16 @@ delta = 0.05
      "'unary' and 'prob_map' are mutually exclusive"),
     (dict(dims=(4,), n_labels=2, prob_map_paths=("a.pgm",)),
      "prob_map needs 2 images, got 1"),
-    (dict(dims=(4,), n_labels=2, kernels=((1.0, 2.0),)),
-     "kernel: sigmas must be a tuple, got 2.0"),
+    pytest.param(dict(dims=(4,), n_labels=2, kernels=((1.0, 2.0),)),
+                 "kernel: '1.0 2.0' reads as (1.0, (2.0,)), not (1.0, 2.0)",
+                 id="fields18-kernel: sigmas must be a tuple, got 2.0"),
+    # values that their echo does not give back
+    (dict(dims=(4,), n_labels=2, n_samples="5"),
+     "samples: '5' reads as 5, not '5'"),
+    (dict(dims="4 4", n_labels=2), "dims: '4 4' reads as (4, 4), not '4 4'"),
+    (dict(dims=(4,), n_labels=2, prob_map_paths=("a b.pgm", "c.pgm")),
+     "prob_map: 'a b.pgm c.pgm' reads as ('a', 'b.pgm', 'c.pgm'), "
+     "not ('a b.pgm', 'c.pgm')"),
 ])
 def test_run_config_checks_itself(fields, message):
     with pytest.raises(ConfigError) as exc:
@@ -236,8 +251,8 @@ def test_run_config_checks_itself(fields, message):
 
 def test_iteration_caps_must_fit_int64(tmp_path):
     for cap in (2 ** 63, 10 ** 20 - 1):
-        with pytest.raises(ConfigError,
-                           match=r"^iterations: must be < 2\*\*63"):
+        with pytest.raises(ConfigError, match=r"^iterations: max_iterations "
+                           r"must be an integer in \[1, 2\*\*63\)"):
             RunConfig(dims=(4,), n_labels=2, max_iterations=cap)
         with pytest.raises(ValueError, match="max_iterations"):
             InferenceConfig(max_iterations=cap)
@@ -251,7 +266,8 @@ def test_iteration_caps_must_fit_int64(tmp_path):
 def test_override_is_checked_like_a_file_value(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "dims = 4\nlabels = 2\n"))
     assert cfg.override(samples=5, threshold=0.5).value("samples") == 5
-    with pytest.raises(ConfigError, match="^threshold: must be non-negative"):
+    with pytest.raises(ConfigError, match=r"^threshold: threshold must be "
+                       r"a number in \[0, inf\), got -1\.0$"):
         cfg.override(threshold=-1.0)
 
 

@@ -164,11 +164,16 @@ def test_biomarker_correction_improves_rtv():
 @pytest.mark.parametrize("threshold, target_label, message", [
     (float("nan"), 1, "^threshold must be"),
     (-1.0, 1, "^threshold must be"),
-    (0.1, -1, "^target_label -1 is not a label"),
-    (0.1, 2, "^target_label 2 is not a label")])
+    pytest.param(0.1, -1, r"^target_label must be an integer >= 0, got -1$",
+                 id="0.1--1-^target_label -1 is not a label"),
+    (0.1, 2, "^target_label 2 is not a label"),
+    (0.1, True, r"^target_label must be an integer >= 0, got True$"),
+    # the preoperative truth holds no voxel of label 0
+    (0.1, 0, r"^preoperative volume must be a number in \(0, inf\), "
+     r"got 0\.0$")])
 def test_biomarker_inputs_are_checked_before_sampling(
         monkeypatch, threshold, target_label, message):
-    truth = np.array([1] * 3 + [0] * 3)
+    truth = np.ones(6, dtype=int)
     model = _planted_model(truth, wrong=[3])
     calls = []
     monkeypatch.setattr(evaluation, "perturb_and_mpm",

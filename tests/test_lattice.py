@@ -83,6 +83,13 @@ def test_rejects_features_that_are_not_2d():
             PermutohedralLattice(features)
 
 
+@pytest.mark.parametrize("features", [grid_coordinates((4, 4)) / 1e-17,
+                                      np.array([[0.0], [1e16]])])
+def test_rejects_coordinates_too_far_apart_to_encode(features):
+    with pytest.raises(ValueError, match="lattice key range too large"):
+        PermutohedralLattice(features)
+
+
 def test_filter_columns_are_independent_bitwise():
     lattice = PermutohedralLattice(grid_coordinates((20, 24)) / 2.0)
     values = np.random.default_rng(2).random((480, 96))

@@ -119,6 +119,16 @@ def test_model_validation():
                       (GaussianKernel(1.0, np.zeros((3, 1)), np.ones(1)),))
 
 
+@pytest.mark.parametrize("features, too_small, fits", [
+    ([[0.0], [3.0]], 1e-320, 1e-150),  # features / bandwidths overflow
+    ([[-1e154], [1e154]], 1.0, 2.0)])  # their squared span overflows
+def test_kernel_rejects_bandwidths_too_small_for_its_span(features,
+                                                          too_small, fits):
+    with pytest.raises(ModelShapeError, match="bandwidths too small"):
+        GaussianKernel(1.0, np.array(features), np.array([too_small]))
+    GaussianKernel(1.0, np.array(features), np.array([fits]))
+
+
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1e-300])
 def test_kernel_rejects_a_weight_the_config_parser_rejects(weight):
     with pytest.raises(ModelShapeError, match="weight"):
