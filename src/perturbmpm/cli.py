@@ -22,10 +22,12 @@ from .evaluation import SyntheticExperimentConfig, random_grid_model, \
     run_biomarker_experiment, run_synthetic_experiment
 from .gumbel import SampleSet, SamplingConfig, empirical_marginals, \
     perturb_and_mpm
-from .meanfield import BACKENDS, MeanField, mpm_decode
-from .metrics import entropy_map, required_sample_size, total_variation
+from .meanfield import BACKENDS, MeanField, mean_field_infer, mpm_decode
+from .metrics import entropy_error_bound, entropy_map, hamming_loss, \
+    required_sample_size, total_variation
 from .oracle import _check_full_order, _full_order_draws, enumerate_gibbs, \
-    exact_marginals
+    exact_map, exact_marginals, kl_product_vs_exact, \
+    perturb_and_map_order1_many
 from .tensorio import entropy_heatmap_image, read_tensor, \
     write_biomarker_csv, write_error_curve_csv, write_manifest, \
     write_marginals_csv, write_pgm, write_tensor, write_uncertainty_csv
@@ -254,10 +256,29 @@ def _cmd_oracle_check(args) -> int:
     tv_full = total_variation(
         empirical_marginals(SampleSet(full, model.n_labels)), exact)
     run = perturb_and_mpm(model, cfg)
-    tv_mpm = total_variation(empirical_marginals(run), exact)
+    mpm = empirical_marginals(run)
+    tv_mpm = total_variation(mpm, exact)
+    # The error split: order-1 perturb-and-MAP decodes the sampler's noise
+    # by exact MAP in place of mean field, draw t for draw t, so its TV to
+    # exact is the perturbation's term and its TV to the sampler mean
+    # field's.
+    order1 = perturb_and_map_order1_many(model, args.seed, args.samples)
+    order1_marginals = empirical_marginals(SampleSet(order1, model.n_labels))
+    q, _ = mean_field_infer(model, cfg.inference)
     print(f"N={args.n} T={args.samples}")
     print(f"TV(full-order perturbation, exact) = {tv_full:.6f}")
     print(f"TV(perturbed MPM, exact)           = {tv_mpm:.6f}")
+    print("TV(order-1 perturb-and-MAP, exact) = "
+          f"{total_variation(order1_marginals, exact):.6f}")
+    print("TV(perturbed MPM, order-1 MAP)     = "
+          f"{total_variation(mpm, order1_marginals):.6f}; paired Hamming "
+          f"loss {hamming_loss(run.labels, order1):.6f}")
+    print(f"TV(mean field, exact)              = "
+          f"{total_variation(q, exact):.6f}; KL(mean field || exact) "
+          f"{kl_product_vs_exact(q, model, dist):.6f}")
+    print("entropy error bound at TV(perturbed MPM, exact) = "
+          f"{entropy_error_bound(tv_mpm, model.n_labels):.6f} bits")
+    print(f"exact MAP = {' '.join(map(str, exact_map(model)))}")
     return EXIT_OK
 
 

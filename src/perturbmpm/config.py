@@ -6,13 +6,13 @@ Schema (one `key = value` per line, '#' comments, blank lines ignored):
     labels     = 4               number of labels (required)
     unary      = potentials.pmt  PMPM tensor of (N, m) potentials in nats
     prob_map   = a.pgm b.pgm     per-label probability maps (one PGM each)
-    kernel     = 1.0 1.0         weight then one sigma per dim (repeatable)
-    seed       = 7               noise key, 0 <= seed < 2**64
-    samples    = 500             sample count, >= 1
+    kernel     = 1.0 1.0         weight, then 1 or ndims sigmas (repeatable)
+    seed       = 7               noise key
+    samples    = 500             sample count
     backend    = lattice         exact | lattice
-    threshold  = 0.25            uncertainty threshold in bits, >= 0
-    iterations = 20              mean-field sweep cap, 1 <= cap < 2**63
-    tol        = 1e-6            mean-field convergence tolerance, >= 0
+    threshold  = 0.25            uncertainty threshold in bits
+    iterations = 20              mean-field sweep cap
+    tol        = 1e-6            mean-field convergence tolerance
     epsilon    = 0.1             optional; with delta, reports the sample
     delta      = 0.05            size needed for that accuracy
 
@@ -20,13 +20,24 @@ Schema (one `key = value` per line, '#' comments, blank lines ignored):
 uniform.  Relative paths resolve against the config file's directory.
 Other keys default to their `RunConfig` field's default.
 
-Each key's rule is that of the object that takes its value, quoted after
-the key and a file's line: `run.cfg:3: samples: n_samples must be an
-integer >= 1, got 0`.  `dims`, `labels` and `kernel` are checked here, as
-their model exists only after `load_model`, which rejects a sigma under
-about 1e-154 times the grid's extent (on the lattice backend, 1.2e-8 on a
-4 x 4 grid).  `RunConfig` keeps only values its echo gives back, so a
-file, a flag (`RunConfig.override`) and a caller are checked alike.
+This module states only the file's format: a missing value, integer or
+finite-number syntax, unknown and duplicate keys, `unary` against
+`prob_map`, one `prob_map` image a label, and `epsilon` only with `delta`.
+Every other rule is stated once, by the code that takes the value, and
+quoted after the key and a file's line, as in `run.cfg:3: samples:
+n_samples must be an integer >= 1, got 0`:
+
+- `model`: `dims`, `labels` and `kernel` (`check_dims`, `check_labels`,
+  `check_kernel`, `check_sigma_count`).  The model, once loaded, also
+  rejects a sigma under about 1e-154 times the grid's extent (on the
+  lattice backend, 1.2e-8 on a 4 x 4 grid).
+- `gumbel`: `seed` (`check_seed`) and `samples` (`SamplingConfig`).
+- `meanfield.InferenceConfig`: `backend`, `iterations` and `tol`.
+- `evaluation.check_threshold`: `threshold`.
+- `metrics.check_accuracy`: `epsilon` and `delta`.
+
+`RunConfig` keeps only values its echo gives back, so a file, a flag
+(`RunConfig.override`) and a caller are checked alike.
 """
 from __future__ import annotations
 
@@ -37,11 +48,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, _check_number
+from .errors import ConfigError, ModelShapeError
+from .evaluation import check_threshold
 from .gumbel import SamplingConfig, check_seed
 from .meanfield import InferenceConfig
-from .metrics import required_sample_size
-from .model import DenseCrfModel, build_grid_model, unaries_from_probabilities
+from .metrics import check_accuracy, required_sample_size
+from .model import DenseCrfModel, build_grid_model, check_dims, \
+    check_kernel, check_labels, check_sigma_count, unaries_from_probabilities
 from .tensorio import read_pgm, read_tensor
 
 
@@ -70,7 +83,7 @@ class RunConfig:
                 if read != value:  # such as the string "5" for samples
                     raise ValueError(f"{text!r} reads as {read!r}, not "
                                      f"{value!r}")
-            except ValueError as exc:
+            except _REJECTED as exc:
                 raise ConfigError(f"{key}: {exc}") from None
         if self.unary_path and self.prob_map_paths:
             raise ConfigError("'unary' and 'prob_map' are mutually exclusive")
@@ -79,12 +92,11 @@ class RunConfig:
                               f"got {len(self.prob_map_paths)}")
         if (self.epsilon is None) != (self.delta is None):
             raise ConfigError("epsilon and delta must be given together")
-        ndims = len(self.dims)
         for _, sigmas in self.kernels:
-            if len(sigmas) not in (1, ndims):
-                raise ConfigError(
-                    f"kernel has {len(sigmas)} sigmas for a {ndims}-d grid "
-                    f"(expected 1 or {ndims})")
+            try:
+                check_sigma_count(len(sigmas), len(self.dims))
+            except ModelShapeError as exc:
+                raise ConfigError(f"kernel: {exc}") from None
 
     def _lines(self):
         """(key, value) pairs, one a config line; unset keys have none."""
@@ -104,7 +116,10 @@ class RunConfig:
         return getattr(self, _SETTINGS[key].field)
 
     def override(self, **values) -> "RunConfig":
-        """A copy with the given keys set, checked like file values."""
+        """A copy with the given keys set, checked like file values; this
+        config itself when none is given."""
+        if not values:
+            return self
         return dataclasses.replace(self, **{
             _SETTINGS[key].field: value for key, value in values.items()})
 
@@ -144,41 +159,24 @@ def _float(text: str) -> float:
     return value
 
 
-# dims, labels and kernel are checked as they are parsed: the model that
-# owns them does not exist until load_model, and raises ModelShapeError.
-
-def _dims(text: str) -> tuple[int, ...]:
-    dims = tuple(map(_int, text.split()))
-    if min(dims) < 1:
-        raise ValueError("dimensions must be positive")
-    return dims
-
-
-def _labels(text: str) -> int:
-    n_labels = _int(text)
-    if n_labels < 2:
-        raise ValueError("need at least 2 labels")
-    return n_labels
-
-
 def _kernel(text: str) -> tuple[float, tuple[float, ...]]:
-    parts = [_float(t) for t in text.split()]
-    if len(parts) < 2:
-        raise ValueError("expected a weight and at least one sigma")
-    if parts[0] < 0 or min(parts[1:]) <= 0:
-        raise ValueError("weight must be >= 0 and sigmas > 0")
-    return parts[0], tuple(parts[1:])
+    weight, *sigmas = map(_float, text.split())
+    return weight, tuple(sigmas)
+
+
+# What an owner's check raises for a value it rejects.
+_REJECTED = (ValueError, ModelShapeError)
 
 
 @dataclasses.dataclass(frozen=True)
 class _Setting:
     field: str
     parse: Callable[[str], Any]  # text to value, or ValueError
-    check: Callable[[Any], Any] = lambda value: None  # ValueError if bad
+    check: Callable[[Any], Any] = lambda value: None  # raises _REJECTED
     repeated: bool = False  # one tuple item per config line
 
     def read(self, text: str):
-        """The value of a config line's text; ValueError if invalid."""
+        """The value of a config line's text; raises _REJECTED if invalid."""
         if not text:
             raise ValueError("missing value")
         value = self.parse(text)
@@ -188,24 +186,24 @@ class _Setting:
 
 # Config keys in file and echo order.
 _SETTINGS = {
-    "dims": _Setting("dims", _dims),
-    "labels": _Setting("n_labels", _labels),
+    "dims": _Setting("dims", lambda text: tuple(map(_int, text.split())),
+                     check_dims),
+    "labels": _Setting("n_labels", _int, check_labels),
     "unary": _Setting("unary_path", str),
     "prob_map": _Setting("prob_map_paths", lambda text: tuple(text.split())),
-    "kernel": _Setting("kernels", _kernel, repeated=True),
+    "kernel": _Setting("kernels", _kernel, lambda v: check_kernel(*v),
+                       repeated=True),
     "seed": _Setting("seed", _int, check_seed),
     "samples": _Setting("n_samples", _int, SamplingConfig),
     "backend": _Setting("backend", str, lambda v: InferenceConfig(backend=v)),
-    "threshold": _Setting("threshold", _float, lambda v: _check_number(
-        "threshold", v, 0, math.inf)),
+    "threshold": _Setting("threshold", _float, check_threshold),
     "iterations": _Setting("max_iterations", _int,
                            lambda v: InferenceConfig(max_iterations=v)),
     "tol": _Setting("convergence_tol", _float,
                     lambda v: InferenceConfig(convergence_tol=v)),
-    "epsilon": _Setting("epsilon", _float, lambda v: _check_number(
-        "epsilon", v, 0, 1, low_open=True)),
-    "delta": _Setting("delta", _float, lambda v: _check_number(
-        "delta", v, 0, 1, low_open=True)),
+    "epsilon": _Setting("epsilon", _float,
+                        lambda v: check_accuracy("epsilon", v)),
+    "delta": _Setting("delta", _float, lambda v: check_accuracy("delta", v)),
 }
 
 
@@ -237,7 +235,7 @@ def parse_config(path) -> RunConfig:
             _fail(path, lineno, f"{key}: duplicate key")
         try:
             value = setting.read(value)
-        except ValueError as exc:
+        except _REJECTED as exc:
             _fail(path, lineno, f"{key}: {exc}")
         values[key] = (*values.get(key, ()), value) if setting.repeated \
             else value

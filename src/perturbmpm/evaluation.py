@@ -134,6 +134,12 @@ class UncertaintyConfusion:
         return self.tn / (self.tn + self.fp) if self.tn + self.fp else float("nan")
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the uncertainty threshold, in bits, is a
+    number in [0, inf)."""
+    _check_number("threshold", threshold, 0, math.inf)
+
+
 def uncertainty_confusion(pred: np.ndarray, truth: np.ndarray,
                           uncertainty: np.ndarray, threshold: float = 0.0,
                           roi: np.ndarray | None = None) -> UncertaintyConfusion:
@@ -147,7 +153,7 @@ def uncertainty_confusion(pred: np.ndarray, truth: np.ndarray,
     uncertainty = np.asarray(uncertainty)
     if not pred.shape == truth.shape == uncertainty.shape:
         raise ValueError("pred, truth and uncertainty must share a shape")
-    _check_number("threshold", threshold, 0, math.inf)
+    check_threshold(threshold)
     mask = np.ones(pred.shape, dtype=bool) if roi is None else np.asarray(roi, bool)
     if mask.shape != pred.shape:
         raise ValueError("roi mask shape does not match")
@@ -175,7 +181,7 @@ def corrected_label_volume(pred: np.ndarray, uncertainty: np.ndarray,
     uncertainty = np.asarray(uncertainty)
     if pred.shape != uncertainty.shape:
         raise ValueError("pred and uncertainty must share a shape")
-    _check_number("threshold", threshold, 0, math.inf)
+    check_threshold(threshold)
     keep = (pred == target_label) & (uncertainty <= threshold)
     return float(np.sum(keep))
 
@@ -227,7 +233,7 @@ def run_biomarker_experiment(pre_model: DenseCrfModel,
     A bad threshold or target label, or a preoperative truth without the
     target label, raises ValueError before any sampling.
     """
-    _check_number("threshold", threshold, 0, math.inf)
+    check_threshold(threshold)
     _check_integer("target_label", target_label, 0)
     if target_label >= min(pre_model.n_labels, post_model.n_labels):
         raise ValueError(f"target_label {target_label!r} is not a label of "

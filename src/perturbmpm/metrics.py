@@ -53,11 +53,17 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
 
 
+def check_accuracy(name: str, value: float) -> None:
+    """Raise ValueError naming the argument unless value, the epsilon or
+    delta of `required_sample_size`, is a number in (0, 1)."""
+    _check_number(name, value, 0, 1, low_open=True)
+
+
 def required_sample_size(epsilon: float, delta: float, m: int = 1) -> int:
     """Samples needed so every one of m label frequencies is within epsilon
     of its mean with probability at least 1 - delta (Hoeffding + union)."""
-    _check_number("epsilon", epsilon, 0, 1, low_open=True)
-    _check_number("delta", delta, 0, 1, low_open=True)
+    check_accuracy("epsilon", epsilon)
+    check_accuracy("delta", delta)
     _check_integer("m", m, 1)
     # ceil(log_term / (2 epsilon^2)) in exact integer arithmetic: for
     # epsilon below about 1e-154 a float quotient overflows, though the

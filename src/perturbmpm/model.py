@@ -25,6 +25,42 @@ def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
     return arr
 
 
+# The rules of a grid model's values, each stated once: the model classes,
+# build_grid_model and the config reader all call them.
+
+def check_dims(dims: tuple[int, ...]) -> None:
+    """Raise ModelShapeError unless dims is a grid of one or more axes,
+    each of positive size."""
+    if not dims or min(dims) < 1:
+        raise ModelShapeError(
+            f"grid dims must be one or more positive sizes, got {dims}")
+
+
+def check_labels(n_labels: int) -> None:
+    """Raise ModelShapeError unless there are at least 2 labels."""
+    if n_labels < 2:
+        raise ModelShapeError(f"need at least 2 labels, got {n_labels}")
+
+
+def check_kernel(weight: float, bandwidths) -> None:
+    """Raise ModelShapeError unless the weight is finite and non-negative
+    and every bandwidth (sigma) positive and finite."""
+    if not 0 <= weight < np.inf:  # False for NaN too
+        raise ModelShapeError(
+            f"kernel weight must be finite and non-negative, got {weight!r}")
+    if not all(0 < sigma < np.inf for sigma in bandwidths):
+        raise ModelShapeError("kernel bandwidths must be positive and finite")
+
+
+def check_sigma_count(count: int, ndims: int) -> None:
+    """Raise ModelShapeError unless a grid kernel has one sigma for every
+    axis, or one for all of them."""
+    if count not in (1, ndims):
+        expected = "1" if ndims == 1 else f"1 or {ndims}"
+        raise ModelShapeError(f"kernel has {count} sigmas for a {ndims}-d "
+                              f"grid (expected {expected})")
+
+
 @dataclasses.dataclass(frozen=True)
 class GaussianKernel:
     """Weighted Gaussian kernel: w * exp(-0.5 * sum_d ((f_i - f_j) / sigma_d)^2)."""
@@ -36,12 +72,7 @@ class GaussianKernel:
     def __post_init__(self):
         features = _frozen_array(np.atleast_2d(self.features), ndim=2)
         bandwidths = _frozen_array(np.atleast_1d(self.bandwidths), ndim=1)
-        if not 0 <= self.weight < np.inf:  # False for NaN too
-            raise ModelShapeError(
-                f"kernel weight must be finite and non-negative, "
-                f"got {self.weight!r}")
-        if np.any(bandwidths <= 0) or not np.all(np.isfinite(bandwidths)):
-            raise ModelShapeError("kernel bandwidths must be positive and finite")
+        check_kernel(self.weight, bandwidths)
         if features.shape[1] != bandwidths.shape[0]:
             raise ModelShapeError(
                 f"feature dimension {features.shape[1]} does not match "
@@ -78,10 +109,8 @@ class DenseCrfModel:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ModelShapeError(f"invalid grid dims {dims}")
-        if self.n_labels < 2:
-            raise ModelShapeError("need at least 2 labels")
+        check_dims(dims)
+        check_labels(self.n_labels)
         unary = _frozen_array(self.unary, ndim=2)
         n = int(np.prod(dims))
         if unary.shape != (n, self.n_labels):
@@ -161,8 +190,8 @@ def build_grid_model(dims: Sequence[int], n_labels: int, unary: np.ndarray,
     """Build a grid CRF with spatial kernel features from voxel coordinates.
 
     ``kernels`` entries are either ready GaussianKernel objects or
-    (weight, bandwidths) pairs; bandwidths may be a scalar applied to every
-    grid dimension.
+    (weight, bandwidths) pairs; bandwidths may be one value, applied to
+    every grid dimension.
     """
     dims = tuple(int(d) for d in dims)
     coords = grid_coordinates(dims)
@@ -172,10 +201,10 @@ def build_grid_model(dims: Sequence[int], n_labels: int, unary: np.ndarray,
             built.append(spec)
             continue
         weight, bandwidths = spec
-        bandwidths = np.broadcast_to(
-            np.atleast_1d(np.asarray(bandwidths, dtype=np.float64)),
-            (len(dims),))
-        built.append(GaussianKernel(weight, coords, bandwidths))
+        bandwidths = np.atleast_1d(np.asarray(bandwidths, dtype=np.float64))
+        check_sigma_count(len(bandwidths), len(dims))
+        built.append(GaussianKernel(weight, coords, np.broadcast_to(
+            bandwidths, (len(dims),))))
     return DenseCrfModel(dims, n_labels, unary, tuple(built))
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perturbmpm import SyntheticExperimentConfig, read_pgm, read_tensor, \
-    write_pgm, write_tensor
+from perturbmpm import SyntheticExperimentConfig, exact_map, \
+    random_grid_model, read_pgm, read_tensor, write_pgm, write_tensor
 from perturbmpm.cli import _build_parser, main
 
 
@@ -214,8 +214,28 @@ def test_impossible_allocation_is_capacity_error(tmp_path, capsys):
 
 def test_oracle_check_prints_tv(capsys):
     assert main(["oracle-check", "--n", "5", "--samples", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert "TV" in out
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "N=5 T=2000"
+    values = dict((name.rstrip(), value) for name, value in
+                  (line.split(" = ") for line in lines))
+    # the sampler's error, then its split into the perturbation's and mean
+    # field's terms, then plain mean field's
+    assert list(values) == [
+        "TV(full-order perturbation, exact)", "TV(perturbed MPM, exact)",
+        "TV(order-1 perturb-and-MAP, exact)",
+        "TV(perturbed MPM, order-1 MAP)", "TV(mean field, exact)",
+        "entropy error bound at TV(perturbed MPM, exact)", "exact MAP"]
+    for name, value in values.items():
+        if name.startswith("TV("):
+            assert 0 <= float(value.split(";")[0]) <= 1
+    loss = values["TV(perturbed MPM, order-1 MAP)"].split("Hamming loss ")
+    assert 0 <= float(loss[1]) <= 1
+    kl = values["TV(mean field, exact)"].split("KL(mean field || exact) ")
+    assert float(kl[1]) >= 0
+    assert float(values["entropy error bound at TV(perturbed MPM, exact)"]
+                 .removesuffix(" bits")) >= 0
+    assert values["exact MAP"] == \
+        " ".join(map(str, exact_map(random_grid_model(5, 0))))
 
 
 def test_synth_experiment_csv(tmp_path, capsys):

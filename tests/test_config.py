@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from perturbmpm import ConfigError, RunConfig, load_model, parse_config, \
-    write_pgm, write_tensor
+from perturbmpm import ConfigError, DenseCrfModel, ModelShapeError, \
+    RunConfig, build_grid_model, corrected_label_volume, load_model, \
+    parse_config, required_sample_size, write_pgm, write_tensor
 from perturbmpm.config import unaries_from_pgm_maps
 from perturbmpm.meanfield import BACKENDS, InferenceConfig
 
@@ -193,8 +194,10 @@ delta = 0.05
 
 # an explicit id names the key and the rule its case checks
 @pytest.mark.parametrize("fields, message", [
-    (dict(dims=(0,), n_labels=1, backend="gpu", threshold=-2.0),
-     "dims: dimensions must be positive"),
+    pytest.param(dict(dims=(0,), n_labels=1, backend="gpu", threshold=-2.0),
+                 "dims: grid dims must be one or more positive sizes, "
+                 "got (0,)",
+                 id="fields0-dims: dimensions must be positive"),
     (dict(dims=(), n_labels=2), "dims: missing value"),
     (dict(dims=(4,), n_labels=1), "labels: need at least 2 labels"),
     pytest.param(dict(dims=(4,), n_labels=2, backend="gpu"),
@@ -216,12 +219,18 @@ delta = 0.05
                  "iterations: max_iterations must be an integer in "
                  "[1, 2**63), got 0", id="fields9-iterations: must be >= 1"),
     (dict(dims=(4,), n_labels=2, seed=-1), "seed: seed must be an integer"),
-    (dict(dims=(4,), n_labels=2, kernels=((1.0, ()),)),
-     "kernel: expected a weight and at least one sigma"),
-    (dict(dims=(4,), n_labels=2, kernels=((-1.0, (1.0,)),)),
-     "kernel: weight must be >= 0 and sigmas > 0"),
-    (dict(dims=(4, 4, 4), n_labels=2, kernels=((1.0, (1.0, 2.0)),)),
-     "kernel has 2 sigmas for a 3-d grid"),
+    pytest.param(dict(dims=(4,), n_labels=2, kernels=((1.0, ()),)),
+                 "kernel: kernel has 0 sigmas for a 1-d grid (expected 1)",
+                 id="fields11-kernel: expected a weight and at least one "
+                 "sigma"),
+    pytest.param(dict(dims=(4,), n_labels=2, kernels=((-1.0, (1.0,)),)),
+                 "kernel: kernel weight must be finite and non-negative, "
+                 "got -1.0",
+                 id="fields12-kernel: weight must be >= 0 and sigmas > 0"),
+    pytest.param(dict(dims=(4, 4, 4), n_labels=2,
+                      kernels=((1.0, (1.0, 2.0)),)),
+                 "kernel: kernel has 2 sigmas for a 3-d grid (expected 1 "
+                 "or 3)", id="fields13-kernel has 2 sigmas for a 3-d grid"),
     pytest.param(dict(dims=(4,), n_labels=2, epsilon=1.5, delta=0.1),
                  "epsilon: epsilon must be a number in (0, 1), got 1.5",
                  id="fields14-epsilon: must lie in (0, 1)"),
@@ -247,6 +256,43 @@ def test_run_config_checks_itself(fields, message):
     with pytest.raises(ConfigError) as exc:
         RunConfig(**fields)
     assert str(exc.value).startswith(message)
+
+
+def _grid_model(dims, weight, sigmas):
+    unary = np.zeros((int(np.prod(dims)), 2))
+    return build_grid_model(dims, 2, unary, [(weight, sigmas)])
+
+
+# each rule is stated once, by the code that takes the value: a bad file
+# value and a library call that passes it break the same rule text
+@pytest.mark.parametrize("lines, line, key, call", [
+    ("dims = 0 3", 1, "dims",
+     lambda: DenseCrfModel((0, 3), 2, np.zeros((0, 2)))),
+    ("labels = 1", 2, "labels",
+     lambda: DenseCrfModel((4,), 1, np.zeros((4, 1)))),
+    ("kernel = -1 1", 3, "kernel", lambda: _grid_model((4,), -1.0, 1.0)),
+    ("kernel = 1 0", 3, "kernel", lambda: _grid_model((4,), 1.0, 0.0)),
+    # the sigma count needs the dims, so it is checked once the file is read
+    ("dims = 2 3 4\nkernel = 1 1 2", None, "kernel",
+     lambda: _grid_model((2, 3, 4), 1.0, (1.0, 2.0))),
+    ("threshold = -1.0", 3, "threshold",
+     lambda: corrected_label_volume(np.zeros(4), np.zeros(4), -1.0, 1)),
+    ("epsilon = 0.0\ndelta = 0.05", 3, "epsilon",
+     lambda: required_sample_size(0.0, 0.05)),
+    ("epsilon = 0.1\ndelta = 1.0", 4, "delta",
+     lambda: required_sample_size(0.1, 1.0))])
+def test_a_file_and_a_library_call_break_one_rule_text(tmp_path, lines,
+                                                        line, key, call):
+    with pytest.raises((ValueError, ModelShapeError)) as rule:
+        call()
+    given = dict(item.split(" = ") for item in lines.split("\n"))
+    text = "".join(f"{k} = {v}\n" for k, v in
+                   {"dims": "4", "labels": "2", **given}.items())
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    where = f"{path}:" if line is None else f"{path}:{line}:"
+    assert str(exc.value) == f"{where} {key}: {rule.value}"
 
 
 def test_iteration_caps_must_fit_int64(tmp_path):

@@ -137,6 +137,15 @@ def test_kernel_rejects_a_weight_the_config_parser_rejects(weight):
         build_grid_model((4,), 2, np.zeros((4, 2)), [(weight, 1.0)])
 
 
+@pytest.mark.parametrize("dims, sigmas", [((2, 3, 4), (1.0, 2.0)),
+                                          ((4,), ())])
+def test_build_grid_model_states_the_sigma_count_rule(dims, sigmas):
+    unary = np.zeros((int(np.prod(dims)), 2))
+    with pytest.raises(ModelShapeError, match=rf"^kernel has {len(sigmas)} "
+                       rf"sigmas for a {len(dims)}-d grid \(expected 1"):
+        build_grid_model(dims, 2, unary, [(1.0, sigmas)])
+
+
 def test_model_arrays_are_immutable():
     model = small_model()
     with pytest.raises(ValueError):
