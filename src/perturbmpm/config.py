@@ -38,6 +38,14 @@ n_samples must be an integer >= 1, got 0`:
 
 `RunConfig` keeps only values its echo gives back, so a file, a flag
 (`RunConfig.override`) and a caller are checked alike.
+
+Where each check runs: `parse_config`'s line loop applies the syntax,
+key and missing-value rules as it reads each line; `RunConfig.__post_init__`
+then runs every owner's check once a value, the sigma count, and the
+rules between keys.  Only when that fails does `parse_config` run the
+owners' checks again, line by line in file order, to name the first line
+rejected (`path:line: key: message`); an error no line explains is
+reported as `path: message`.
 """
 from __future__ import annotations
 
@@ -78,13 +86,20 @@ class RunConfig:
     def __post_init__(self):
         for key, value in self._lines():
             text = _text(value)
+            setting = _SETTINGS[key]
             try:
-                read = _SETTINGS[key].read(text)
+                read = setting.read(text)
+                setting.check(read)
                 if read != value:  # such as the string "5" for samples
                     raise ValueError(f"{text!r} reads as {read!r}, not "
                                      f"{value!r}")
             except _REJECTED as exc:
                 raise ConfigError(f"{key}: {exc}") from None
+        for _, sigmas in self.kernels:
+            try:
+                check_sigma_count(len(sigmas), len(self.dims))
+            except ModelShapeError as exc:
+                raise ConfigError(f"kernel: {exc}") from None
         if self.unary_path and self.prob_map_paths:
             raise ConfigError("'unary' and 'prob_map' are mutually exclusive")
         if self.prob_map_paths and len(self.prob_map_paths) != self.n_labels:
@@ -92,11 +107,6 @@ class RunConfig:
                               f"got {len(self.prob_map_paths)}")
         if (self.epsilon is None) != (self.delta is None):
             raise ConfigError("epsilon and delta must be given together")
-        for _, sigmas in self.kernels:
-            try:
-                check_sigma_count(len(sigmas), len(self.dims))
-            except ModelShapeError as exc:
-                raise ConfigError(f"kernel: {exc}") from None
 
     def _lines(self):
         """(key, value) pairs, one a config line; unset keys have none."""
@@ -176,12 +186,11 @@ class _Setting:
     repeated: bool = False  # one tuple item per config line
 
     def read(self, text: str):
-        """The value of a config line's text; raises _REJECTED if invalid."""
+        """The value of a config line's text, by the file format alone;
+        raises ValueError if the text is missing or malformed."""
         if not text:
             raise ValueError("missing value")
-        value = self.parse(text)
-        self.check(value)
-        return value
+        return self.parse(text)
 
 
 # Config keys in file and echo order.
@@ -207,12 +216,34 @@ _SETTINGS = {
 }
 
 
-def _fail(path, lineno: int, message: str):
-    raise ConfigError(f"{path}:{lineno}: {message}")
+def _fail(path, lines, lineno: int | None, message: str, dims=None):
+    """Raise ConfigError `path:lineno: message`, or `path: message` with no
+    line, unless the owner of a value in `lines`, (lineno, key, value) in
+    file order, rejects it: then the first such line is named, with its
+    owner's message.  Given the grid's dims, a kernel line's sigma count
+    is checked after every owner, as `RunConfig` checks it."""
+    checks = [(n, key, _SETTINGS[key].check, value)
+              for n, key, value in lines]
+    if dims is not None:
+        checks += [(n, key, check_sigma_count, len(value[1]), len(dims))
+                   for n, key, value in lines if key == "kernel"]
+    for n, key, check, *args in checks:
+        try:
+            check(*args)
+        except _REJECTED as exc:
+            lineno, message = n, f"{key}: {exc}"
+            break
+    where = path if lineno is None else f"{path}:{lineno}"
+    raise ConfigError(f"{where}: {message}")
 
 
 def parse_config(path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse a run configuration file into a `RunConfig`, which checks
+    each value once.
+
+    The line loop applies the file-format rules alone.  An error names
+    the first line, in file order, whose value its owner rejects, ahead of
+    a format error on a later line and of the rules of the whole file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}: no such config file")
@@ -220,34 +251,37 @@ def parse_config(path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines: list = []  # (lineno, key, value) of each line read, in order
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            _fail(path, lineno, f"expected 'key = value', got {raw.strip()!r}")
+            _fail(path, lines, lineno,
+                  f"expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         setting = _SETTINGS.get(key)
         if setting is None:
-            _fail(path, lineno, f"unknown key {key!r}")
+            _fail(path, lines, lineno, f"unknown key {key!r}")
         if key in values and not setting.repeated:
-            _fail(path, lineno, f"{key}: duplicate key")
+            _fail(path, lines, lineno, f"{key}: duplicate key")
         try:
             value = setting.read(value)
-        except _REJECTED as exc:
-            _fail(path, lineno, f"{key}: {exc}")
+        except ValueError as exc:
+            _fail(path, lines, lineno, f"{key}: {exc}")
+        lines.append((lineno, key, value))
         values[key] = (*values.get(key, ()), value) if setting.repeated \
             else value
     for key, setting in _SETTINGS.items():
         # a field without a default is no class attribute, and required
         if key not in values and not hasattr(RunConfig, setting.field):
-            raise ConfigError(f"{path}: missing required key {key!r}")
+            _fail(path, lines, None, f"missing required key {key!r}")
     try:
         return RunConfig(base_dir=str(path.parent), **{
             _SETTINGS[key].field: value for key, value in values.items()})
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        _fail(path, lines, None, str(exc), values["dims"])
 
 
 def unaries_from_pgm_maps(paths, dims) -> np.ndarray:

@@ -335,6 +335,22 @@ class MeanField:
         e = bind(q)()
         return e if e.size == y.size else e.copy()
 
+    def free_energy(self, q: np.ndarray) -> np.ndarray | float:
+        """Mean-field free energy of marginals of shape (..., N, m), one
+        value a field:
+
+            F(q) = sum q psi_u + 1/2 sum q msg(q) + sum q log q,
+
+        the expected Gibbs energy under the product q, each voxel pair
+        once, less its entropy; 0 log 0 counts as 0.  F(q) + log Z is
+        KL(q || p), so F ranks fields by their KL to the Gibbs p."""
+        q, _, _, bind = self._fields(q)
+        e = bind(q)()
+        e *= 0.5
+        e += self.model.unary
+        e += np.log(q, out=np.zeros(q.shape), where=q > 0)
+        return np.einsum("...nm,...nm->...", q, e)
+
     def step(self, q: np.ndarray) -> np.ndarray:
         """One parallel mean-field sweep; rows of the result sum to 1."""
         e = self.messages(q)

@@ -140,31 +140,47 @@ _CSV_BLOCK = 1 << 14  # values formatted and written at a time
 
 
 def _write_csv(path, header, record, values, keys=()) -> None:
-    """Write `header`, then `record` formatted once per row of `values`.
+    """Write `header`, then one `record` per row of `values`.
 
-    Row i of `values` (float64, rows x k) fills the record's last k fields
-    with the repr of its values, after the i-th entry of each key column in
-    `keys` (sliceable sequences of ints, one per row). The bytes are those
-    of csv.writer's default dialect: comma-separated, CRLF line ends,
-    and no field here needs quoting. Rows go `_CSV_BLOCK` values at a
-    time, one str.format map and one write per block.
+    `record` is the text of one row of `values` (float64, rows x k) as a
+    list of pieces: a str is written as it is, and an int j is column j,
+    where the key columns `keys` (sliceable sequences of ints, one entry a
+    row) come first, written by str, and then the k value columns,
+    written by repr.  A marginals record of m labels is the 4 m pieces
+    `0, ",l,", l + 1, "\r\n"` for l < m: the rows `i,l,{q[i, l]!r}`.  The
+    bytes are those of csv.writer's default dialect: comma-separated, CRLF
+    line ends, and no field here needs quoting.
+
+    Rows go `_CSV_BLOCK` values at a time.  A block is one list of pieces,
+    records end to end, whose fixed pieces are laid down once; each column
+    is converted whole and slice-assigned to its pieces, so no per-row
+    string is built, and one join and one write finish the block.
     """
     values = np.asarray(values, dtype=np.float64)
-    step = _CSV_BLOCK // values.shape[1]
+    rows, k = values.shape
+    step = max(1, _CSV_BLOCK // k)
+    width = len(record)
+    columns = [(s, j) for s, j in enumerate(record) if isinstance(j, int)]
+    parts = [p if isinstance(p, str) else "" for p in record] \
+        * min(step, rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(values), step):
-            rows = slice(start, start + step)
-            fh.write("".join(map(record.format, *(k[rows] for k in keys),
-                                 *values[rows].T.tolist())))
+        for start in range(0, rows, step):
+            block = values[start:start + step]
+            if len(block) < step:  # the last block: drop the records past it
+                del parts[len(block) * width:]
+            text = [list(map(str, key[start:start + step])) for key in keys]
+            text += [list(map(repr, column)) for column in block.T.tolist()]
+            for s, j in columns:
+                parts[s::width] = text[j]
+            fh.write("".join(parts))
 
 
 def write_marginals_csv(path, marginals: np.ndarray) -> None:
     """One `voxel,label,probability` row per entry of an (N, m) field."""
     q = np.asarray(marginals)
-    # one record per voxel i: the m lines "i,l,{q[i, l]!r}"
-    record = "".join(f"{{0}},{l},{{{l + 1}!r}}\r\n"
-                     for l in range(q.shape[1]))
+    record = [piece for l in range(q.shape[1])
+              for piece in (0, f",{l},", l + 1, "\r\n")]
     _write_csv(path, ["voxel", "label", "probability"], record, q,
                keys=(range(len(q)),))
 
@@ -172,14 +188,14 @@ def write_marginals_csv(path, marginals: np.ndarray) -> None:
 def write_uncertainty_csv(path, entropy: np.ndarray) -> None:
     """One `voxel,entropy_bits` row per voxel of an (N,) map."""
     h = np.asarray(entropy)
-    _write_csv(path, ["voxel", "entropy_bits"], "{},{!r}\r\n",
+    _write_csv(path, ["voxel", "entropy_bits"], [0, ",", 1, "\r\n"],
                h.reshape(len(h), 1), keys=(range(len(h)),))
 
 
 def write_error_curve_csv(path, curve) -> None:
     rows = curve.rows
     _write_csv(path, ["n_voxels", "n_samples", "sampled_error",
-                      "mean_field_error"], "{},{},{!r},{!r}\r\n",
+                      "mean_field_error"], [0, ",", 1, ",", 2, ",", 3, "\r\n"],
                np.reshape([(r.sampled_error, r.mean_field_error)
                            for r in rows], (len(rows), 2)),
                keys=([r.n_voxels for r in rows], [r.n_samples for r in rows]))
@@ -190,8 +206,9 @@ def write_biomarker_csv(path, report) -> None:
               "eor", "v_pre_corrected", "v_post_corrected", "eor_corrected",
               "rtv_error", "rtv_error_corrected", "eor_error",
               "eor_error_corrected"]
-    _write_csv(path, fields, ",".join(["{!r}"] * len(fields)) + "\r\n",
-               [[getattr(report, f) for f in fields]])
+    record = [piece for j in range(len(fields)) for piece in (j, ",")]
+    record[-1] = "\r\n"
+    _write_csv(path, fields, record, [[getattr(report, f) for f in fields]])
 
 
 # -- manifests ------------------------------------------------------------

@@ -230,8 +230,10 @@ def test_oracle_check_prints_tv(capsys):
             assert 0 <= float(value.split(";")[0]) <= 1
     loss = values["TV(perturbed MPM, order-1 MAP)"].split("Hamming loss ")
     assert 0 <= float(loss[1]) <= 1
-    kl = values["TV(mean field, exact)"].split("KL(mean field || exact) ")
-    assert float(kl[1]) >= 0
+    kl, free = values["TV(mean field, exact)"].split(
+        "KL(mean field || exact) ")[1].split("; free energy + log Z ")
+    assert float(kl) >= 0
+    assert float(free) == pytest.approx(float(kl), abs=1e-6)
     assert float(values["entropy error bound at TV(perturbed MPM, exact)"]
                  .removesuffix(" bits")) >= 0
     assert values["exact MAP"] == \

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from perturbmpm import ConfigError, DenseCrfModel, ModelShapeError, \
     RunConfig, build_grid_model, corrected_label_volume, load_model, \
     parse_config, required_sample_size, write_pgm, write_tensor
+from perturbmpm import config
 from perturbmpm.config import unaries_from_pgm_maps
 from perturbmpm.meanfield import BACKENDS, InferenceConfig
 
@@ -272,9 +274,11 @@ def _grid_model(dims, weight, sigmas):
      lambda: DenseCrfModel((4,), 1, np.zeros((4, 1)))),
     ("kernel = -1 1", 3, "kernel", lambda: _grid_model((4,), -1.0, 1.0)),
     ("kernel = 1 0", 3, "kernel", lambda: _grid_model((4,), 1.0, 0.0)),
-    # the sigma count needs the dims, so it is checked once the file is read
-    ("dims = 2 3 4\nkernel = 1 1 2", None, "kernel",
-     lambda: _grid_model((2, 3, 4), 1.0, (1.0, 2.0))),
+    # the sigma count needs the dims, so it is checked once the file is
+    # read, and the error names the kernel line
+    pytest.param("dims = 2 3 4\nkernel = 1 1 2", 3, "kernel",
+                 lambda: _grid_model((2, 3, 4), 1.0, (1.0, 2.0)),
+                 id="dims = 2 3 4\nkernel = 1 1 2-None-kernel-<lambda>"),
     ("threshold = -1.0", 3, "threshold",
      lambda: corrected_label_volume(np.zeros(4), np.zeros(4), -1.0, 1)),
     ("epsilon = 0.0\ndelta = 0.05", 3, "epsilon",
@@ -291,8 +295,54 @@ def test_a_file_and_a_library_call_break_one_rule_text(tmp_path, lines,
     path = write_cfg(tmp_path, text)
     with pytest.raises(ConfigError) as exc:
         parse_config(path)
-    where = f"{path}:" if line is None else f"{path}:{line}:"
-    assert str(exc.value) == f"{where} {key}: {rule.value}"
+    assert str(exc.value) == f"{path}:{line}: {key}: {rule.value}"
+
+
+def test_each_value_is_checked_once(tmp_path, monkeypatch):
+    calls = []
+    for key, setting in config._SETTINGS.items():
+        def counted(value, key=key, check=setting.check):
+            calls.append(key)
+            return check(value)
+        monkeypatch.setitem(config._SETTINGS, key,
+                            dataclasses.replace(setting, check=counted))
+    text = """dims = 2 3
+labels = 2
+unary = u.pmt
+kernel = 1.0 2.0 2.5
+kernel = 0.5 1.5
+seed = 7
+samples = 50
+backend = lattice
+threshold = 0.25
+iterations = 20
+tol = 1e-06
+epsilon = 0.1
+delta = 0.05
+"""
+    parse_config(write_cfg(tmp_path, text))
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    assert collections.Counter(calls) == collections.Counter(keys)
+
+
+# the first line in file order whose value its owner rejects is named,
+# ahead of a format error on a later line and the whole file's rules
+@pytest.mark.parametrize("text, line, message", [
+    ("dims = 4\nlabels = 2\nseed = -1\nbogus = 1", 3, "seed: seed must be"),
+    ("dims = 4\nthreshold = -1\nseed = -1", 2, "threshold: threshold must"),
+    ("dims = 4\nlabels = 2\nsamples = 0\nsamples = 2", 3,
+     "samples: n_samples must be"),
+    ("dims = 4\nlabels = 2\ndelta = 2.0", 3, "delta: delta must be"),
+    ("dims = 2 2\nlabels = 2\nkernel = 1 1\nkernel = 1 1 1 1\n"
+     "unary = u.pmt\nprob_map = a.pgm b.pgm", 4,
+     "kernel: kernel has 3 sigmas"),
+], ids=["before-unknown-key", "before-missing-key", "before-duplicate-key",
+        "before-epsilon-with-delta", "sigma-count-before-unary-or-prob-map"])
+def test_the_first_rejected_line_is_named(tmp_path, text, line, message):
+    path = write_cfg(tmp_path, text + "\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert str(exc.value).startswith(f"{path}:{line}: {message}")
 
 
 def test_iteration_caps_must_fit_int64(tmp_path):

@@ -9,7 +9,8 @@ from perturbmpm.evaluation import BiomarkerReport, ErrorCurve, ErrorCurveRow
 from perturbmpm.tensorio import write_biomarker_csv, write_error_curve_csv, \
     write_marginals_csv, write_uncertainty_csv
 
-_EDGES = [0.0, 1.0, 5e-324, 1e-05, 1e16]
+_EDGES = [0.0, 1.0, 5e-324, 1e-05, 1e16, -0.0, float("nan"), float("inf"),
+          -float("inf"), -5e-324]
 
 
 # -- the reference: one csv.writer row per value --------------------------
@@ -69,11 +70,17 @@ def _fields():
         "random": rng.dirichlet(np.ones(3), size=50),
         "edges": np.array([_EDGES, _EDGES[::-1]]),
         "one-voxel": np.array([[0.25, 0.75]]),
+        "one-value": np.array([[0.5]]),
         "one-label": rng.random((9, 1)),
         "empty": np.zeros((0, 3)),
         "float32": rng.random((5, 2)).astype(np.float32),
         # 40 002 values: two full blocks and a ragged third
         "multi-block": rng.dirichlet(np.ones(3), size=13_334),
+        # 16 384 // 7 = 2 340 voxels a block: blocks end mid-file, at no
+        # multiple of a power of ten
+        "seven-label": rng.dirichlet(np.ones(7), size=5_000),
+        # more labels than a block holds values: one voxel a block
+        "wide": rng.dirichlet(np.ones(16_385), size=2),
         "non-contiguous": rng.random((8, 6))[::2, ::2],
     }
 
@@ -109,7 +116,9 @@ def test_error_curve_csv_bytes_match_csv_writer(tmp_path, errors):
 def test_biomarker_csv_bytes_match_csv_writer(tmp_path, seed):
     n = len(BiomarkerReport.__dataclass_fields__)
     values = np.random.default_rng(seed).random(n)
-    values[:len(_EDGES)] = _EDGES
+    # the first fields are edges; seed 1 takes those seed 0 leaves out
+    edges = _EDGES[:n] if seed == 0 else _EDGES[-n:]
+    values[:len(edges)] = edges
     report = BiomarkerReport(*values.tolist())
     _same_bytes(tmp_path, write_biomarker_csv, _biomarker_ref, report)
 

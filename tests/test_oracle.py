@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
-from perturbmpm import (CapacityError, DenseCrfModel,
-                        SampleSet, SamplingConfig, build_grid_model,
+from perturbmpm import (CapacityError, DenseCrfModel, InferenceConfig,
+                        MeanField, SampleSet, SamplingConfig, build_grid_model,
                         decode_labeling, empirical_marginals, energy,
                         enumerate_gibbs, exact_map, exact_marginals,
                         kl_product_vs_exact,
@@ -153,6 +153,25 @@ def test_capacity_guards():
     mid = DenseCrfModel((21,), 2, np.zeros((21, 2)))
     with pytest.raises(CapacityError):
         perturb_and_map_full_order_many(mid, 0, 1)
+
+
+@pytest.mark.parametrize("dims, m", [((4, 4), 2), ((3, 3), 3)])
+@pytest.mark.parametrize("weight", [1.0, 3.0])
+def test_free_energy_plus_log_z_is_kl(dims, m, weight):
+    unary = np.random.default_rng(m).normal(size=(int(np.prod(dims)), m))
+    model = build_grid_model(dims, m, unary, [(weight, 1.0)])
+    dist = enumerate_gibbs(model)
+    solver = MeanField(model, InferenceConfig(max_iterations=30))
+    fixed_point = solver.infer(unary[None])[0][0]
+    for q in (fixed_point, softmax(-unary, axis=1)):
+        assert solver.free_energy(q) + dist.log_partition == \
+            pytest.approx(kl_product_vs_exact(q, model, dist), abs=1e-9)
+    # one value a field, and an exact 0 marginal counts 0 log 0 as 0
+    hard = np.eye(m)[np.arange(len(unary)) % m]
+    both = solver.free_energy(np.stack([fixed_point, hard]))
+    assert both.shape == (2,)
+    assert both[1] + dist.log_partition == \
+        pytest.approx(kl_product_vs_exact(hard, model, dist), abs=1e-9)
 
 
 def test_kl_non_negative_and_zero_for_exact_product():
