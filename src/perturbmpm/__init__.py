@@ -19,8 +19,8 @@ from .gumbel import (EULER_GAMMA, SampleSet, SamplingConfig,
 from .lattice import PermutohedralLattice
 from .meanfield import InferenceConfig, MeanField, mean_field_infer, mpm_decode
 from .metrics import (binary_entropy, entropy_error_bound, entropy_map,
-                      hamming_loss, required_sample_size, total_variation,
-                      voxelwise_total_variation)
+                      hamming_loss, monte_carlo_tv, required_sample_size,
+                      total_variation, voxelwise_total_variation)
 from .model import (DenseCrfModel, GaussianKernel, build_grid_model, energy,
                     grid_coordinates, kernel_matrix, kernel_weight,
                     pairwise_matrix, unaries_from_probabilities)

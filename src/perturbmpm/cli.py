@@ -21,13 +21,12 @@ from .errors import CapacityError, ConfigError, FormatError, ModelShapeError
 from .evaluation import SyntheticExperimentConfig, random_grid_model, \
     run_biomarker_experiment, run_synthetic_experiment
 from .gumbel import SampleSet, SamplingConfig, empirical_marginals, \
-    perturb_and_mpm
+    gumbel_max_select_many, perturb_and_mpm
 from .meanfield import BACKENDS, MeanField, mpm_decode
 from .metrics import entropy_error_bound, entropy_map, hamming_loss, \
-    required_sample_size, total_variation
-from .oracle import _check_full_order, _full_order_draws, enumerate_gibbs, \
-    exact_map, exact_marginals, kl_product_vs_exact, \
-    perturb_and_map_order1_many
+    monte_carlo_tv, required_sample_size, total_variation
+from .oracle import _check_full_order, decode_labeling, enumerate_gibbs, \
+    exact_marginals, kl_product_vs_exact, perturb_and_map_order1_many
 from .tensorio import entropy_heatmap_image, read_tensor, \
     write_biomarker_csv, write_error_curve_csv, write_manifest, \
     write_marginals_csv, write_pgm, write_tensor, write_uncertainty_csv
@@ -110,7 +109,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-check",
                        help="compare samplers against the exact oracle")
-    p.add_argument("--n", type=int, default=6, help="grid size")
+    p.add_argument("--n", type=int, nargs="+", default=[6],
+                   help="grid size, one per axis: --n 4 4 is a 4x4 grid")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     return parser
@@ -251,7 +251,9 @@ def _cmd_oracle_check(args) -> int:
     # the full-order sampler's state guard first: it is the tighter one
     _check_full_order(model)
     dist = enumerate_gibbs(model)
-    full = _full_order_draws(dist.energies, model, args.seed, args.samples)
+    # full-order draws and the exact MAP read the enumeration's energies
+    full = decode_labeling(gumbel_max_select_many(
+        dist.energies, args.seed, args.samples), *model.unary.shape)
     exact = exact_marginals(dist)
     tv_full = total_variation(
         empirical_marginals(SampleSet(full, model.n_labels)), exact)
@@ -266,9 +268,10 @@ def _cmd_oracle_check(args) -> int:
     order1_marginals = empirical_marginals(SampleSet(order1, model.n_labels))
     solver = MeanField(model, cfg.inference)
     q = solver.infer(model.unary[None])[0][0]
-    print(f"N={args.n} T={args.samples}")
+    print(f"N={'x'.join(map(str, model.dims))} T={args.samples}")
     print(f"TV(full-order perturbation, exact) = {tv_full:.6f}")
-    print(f"TV(perturbed MPM, exact)           = {tv_mpm:.6f}")
+    print(f"TV(perturbed MPM, exact)           = {tv_mpm:.6f}; Monte Carlo "
+          f"term at T {monte_carlo_tv(mpm, args.samples):.6f}")
     print("TV(order-1 perturb-and-MAP, exact) = "
           f"{total_variation(order1_marginals, exact):.6f}")
     print("TV(perturbed MPM, order-1 MAP)     = "
@@ -280,7 +283,8 @@ def _cmd_oracle_check(args) -> int:
           f"{solver.free_energy(q) + dist.log_partition:.6f}")
     print("entropy error bound at TV(perturbed MPM, exact) = "
           f"{entropy_error_bound(tv_mpm, model.n_labels):.6f} bits")
-    print(f"exact MAP = {' '.join(map(str, exact_map(model)))}")
+    labeling = decode_labeling(np.argmin(dist.energies), *model.unary.shape)
+    print(f"exact MAP = {' '.join(map(str, labeling))}")
     return EXIT_OK
 
 

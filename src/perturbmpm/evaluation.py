@@ -78,16 +78,19 @@ def _experiment_seed(base_seed: int, n: int, init: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def random_grid_model(n: int, seed: int, kernel_weight: float = 1.0,
+def random_grid_model(dims: int | tuple[int, ...], seed: int,
+                      kernel_weight: float = 1.0,
                       kernel_bandwidth: float = 1.0) -> DenseCrfModel:
-    """Binary 1-d grid with uniform-random unary probabilities and a
-    Potts + spatial Gaussian pairwise term."""
+    """Binary grid of dims (an int is a 1-d grid of that many voxels) with
+    uniform-random unary probabilities, drawn in voxel order, and a Potts +
+    spatial Gaussian pairwise term."""
+    dims = tuple(np.atleast_1d(dims).tolist())
     rng = np.random.default_rng(seed)
-    p0 = rng.random(n)
+    p0 = rng.random(math.prod(dims))
     probs = np.stack([p0, 1.0 - p0], axis=1)
     unary = unaries_from_probabilities(probs)
     kernels = [(kernel_weight, kernel_bandwidth)] if kernel_weight > 0 else []
-    return build_grid_model((n,), 2, unary, kernels)
+    return build_grid_model(dims, 2, unary, kernels)
 
 
 def run_synthetic_experiment(cfg: SyntheticExperimentConfig) -> ErrorCurve:

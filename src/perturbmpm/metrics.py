@@ -35,6 +35,17 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return float(voxelwise_total_variation(p, q).mean())
 
 
+def monte_carlo_tv(marginals: np.ndarray, n_samples: int) -> float:
+    """Expected voxel-averaged TV between the label frequencies of n_samples
+    iid draws and their own limit marginals: the mean over voxels of
+    1/2 sum_l sqrt(2 p (1 - p) / (pi T)), E|p_hat - p| under the normal
+    approximation of each label's count."""
+    _check_integer("n_samples", n_samples, 1)
+    p = np.asarray(marginals)
+    return float(0.5 * np.sqrt(2.0 * p * (1.0 - p) / (math.pi * n_samples))
+                 .sum(axis=-1).mean())
+
+
 def entropy_map(marginals: np.ndarray) -> np.ndarray:
     """Per-voxel Shannon entropy in bits, with 0 * log 0 := 0; a zero
     entropy is +0.0."""

@@ -6,8 +6,10 @@ both the full-order (one Gumbel per labeling, exact by the Gumbel-max
 trick) and order-1 (unaries only) variants.  A labeling's code has voxel i
 as its base-m digit i, voxel 0 least significant, and every table holds one
 value per code in code order; viewed as (m^(N-1-i), m, m^i), its middle
-axis is voxel i's label.  Capacity guards keep this at desk scale; it
-exists to validate the approximate samplers, not to be clever.
+axis is voxel i's label.  Every energy comes from one routine,
+`_energies`: a batch of unary sums plus the pairwise table, which each call
+builds once and no draw copies.  Capacity guards keep this at desk scale;
+it exists to validate the approximate samplers, not to be clever.
 """
 from __future__ import annotations
 
@@ -44,10 +46,9 @@ def _pair_energies(model: DenseCrfModel) -> np.ndarray:
     """Pairwise energy of every labeling, in code order, grown a voxel at a
     time: voxel j is the leading digit of an (m, m^j) table, and each pair
     i < j adds k_ij on the labelings where digits i and j differ."""
-    total = n_states(model)
-    if total > MAX_ENUM_STATES:
+    if n_states(model) > MAX_ENUM_STATES:
         raise CapacityError(
-            f"{model.n_labels}^{model.n_voxels} = {total} labelings exceeds "
+            f"{model.n_labels}^{model.n_voxels} labelings exceeds "
             f"the enumeration guard of {MAX_ENUM_STATES}")
     m = model.n_labels
     pair = pairwise_matrix(model)
@@ -63,19 +64,25 @@ def _pair_energies(model: DenseCrfModel) -> np.ndarray:
     return e
 
 
-def _add_unaries(e: np.ndarray, unary: np.ndarray) -> np.ndarray:
-    """Add each voxel's unary on its digit of e, in place: e is (m^N,) with
-    unary (N, m), or a batch (B, m^N) with unaries (B, N, m)."""
-    m = unary.shape[-1]
-    for i in range(unary.shape[-2]):
-        view = _digit(e, i, m)
-        view += unary[..., i, None, :, None]
+def _energies(pair: np.ndarray, unaries: np.ndarray) -> np.ndarray:
+    """Energies (B, m^N) of every labeling under unary fields (B, N, m),
+    plus pairwise energies pair (m^N,).  Unary sums grow a voxel at a time:
+    once the first m^i entries sum voxels below i, labels 1..m-1 of voxel i
+    fill the next m^i-entry blocks from them, then label 0 adds to them."""
+    n, m = unaries.shape[1:]
+    e = np.empty((len(unaries), pair.size))
+    e[:, 0] = 0.0
+    for i in range(n):
+        grown = e[:, :m ** (i + 1)].reshape(len(e), m, -1)
+        np.add(grown[:, :1], unaries[:, i, 1:, None], out=grown[:, 1:])
+        grown[:, 0] += unaries[:, i, :1]
+    e += pair
     return e
 
 
 def _all_energies(model: DenseCrfModel) -> np.ndarray:
     """Energies of every labeling, in labeling-code order."""
-    return _add_unaries(_pair_energies(model), model.unary)
+    return _energies(_pair_energies(model), model.unary[None])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,35 +122,19 @@ def exact_marginals(dist: ExactDistribution) -> np.ndarray:
                      for i in range(dist.n_voxels)])
 
 
-def _exact_maps(e: np.ndarray, unaries: np.ndarray) -> np.ndarray:
-    """Exact MAP labelings (B, N) of a batch of unaries (B, N, m), added in
-    place to e (B, m^N), each row the pairwise energy of every labeling;
-    ties break toward the lowest code."""
-    return decode_labeling(np.argmin(_add_unaries(e, unaries), axis=1),
-                           *unaries.shape[1:])
-
-
 def exact_map(model: DenseCrfModel) -> np.ndarray:
     """Global energy minimiser; ties break toward the lowest labeling code."""
-    return _exact_maps(_pair_energies(model)[None], model.unary[None])[0]
+    return decode_labeling(np.argmin(_all_energies(model)),
+                           *model.unary.shape)
 
 
 def _check_full_order(model: DenseCrfModel) -> None:
     """Raise CapacityError when model has too many labelings to perturb
     each one; this guard is tighter than enumeration's."""
-    total = n_states(model)
-    if total > MAX_PERTURB_STATES:
+    if n_states(model) > MAX_PERTURB_STATES:
         raise CapacityError(
-            f"{total} labelings exceeds the full-order perturbation guard "
-            f"of {MAX_PERTURB_STATES}")
-
-
-def _full_order_draws(energies: np.ndarray, model: DenseCrfModel, seed: int,
-                      count: int) -> np.ndarray:
-    """Full-order draws of model from its labelings' energies in code order
-    (`_all_energies`, or an ExactDistribution's), which this reuses."""
-    return decode_labeling(gumbel_max_select_many(energies, seed, count),
-                           model.n_voxels, model.n_labels)
+            f"{model.n_labels}^{model.n_voxels} labelings exceeds the "
+            f"full-order perturbation guard of {MAX_PERTURB_STATES}")
 
 
 def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
@@ -151,7 +142,8 @@ def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
     """Exact Gibbs draws: perturb every labeling's energy with draw t of
     the seed, take the argmin (Gumbel-max over the labelings)."""
     _check_full_order(model)
-    return _full_order_draws(_all_energies(model), model, seed, count)
+    return decode_labeling(gumbel_max_select_many(_all_energies(model), seed,
+                                                  count), *model.unary.shape)
 
 
 def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,
@@ -163,8 +155,8 @@ def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,
     """
     pair = _pair_energies(model)
     return _perturb(seed, count, model.unary.shape, pair.size, lambda g:
-                    _exact_maps(np.tile(pair, (len(g), 1)),
-                                np.subtract(model.unary, g, out=g)),
+                    decode_labeling(np.argmin(_energies(pair, np.subtract(
+                        model.unary, g, out=g)), axis=1), *model.unary.shape),
                     row=(model.n_voxels,))
 
 

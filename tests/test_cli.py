@@ -228,6 +228,9 @@ def test_oracle_check_prints_tv(capsys):
     for name, value in values.items():
         if name.startswith("TV("):
             assert 0 <= float(value.split(";")[0]) <= 1
+    monte_carlo = values["TV(perturbed MPM, exact)"].split(
+        "; Monte Carlo term at T ")[1]
+    assert 0 < float(monte_carlo) <= 1
     loss = values["TV(perturbed MPM, order-1 MAP)"].split("Hamming loss ")
     assert 0 <= float(loss[1]) <= 1
     kl, free = values["TV(mean field, exact)"].split(
@@ -238,6 +241,24 @@ def test_oracle_check_prints_tv(capsys):
                  .removesuffix(" bits")) >= 0
     assert values["exact MAP"] == \
         " ".join(map(str, exact_map(random_grid_model(5, 0))))
+
+
+def test_oracle_check_takes_2d_grids(capsys):
+    assert main(["oracle-check", "--n", "3", "3", "--samples", "500"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "N=3x3 T=500"
+    assert [line.split(" = ")[0].rstrip() for line in lines] == [
+        "TV(full-order perturbation, exact)", "TV(perturbed MPM, exact)",
+        "TV(order-1 perturb-and-MAP, exact)",
+        "TV(perturbed MPM, order-1 MAP)", "TV(mean field, exact)",
+        "entropy error bound at TV(perturbed MPM, exact)", "exact MAP"]
+    assert lines[-1].split(" = ")[1] == \
+        " ".join(map(str, exact_map(random_grid_model((3, 3), 0))))
+    # a 5x5 binary grid is past the full-order guard, and so is a grid
+    # whose labeling count has more digits than Python prints
+    for dims in (["5", "5"], ["200", "200"]):
+        assert main(["oracle-check", "--n", *dims]) == 3
+        assert "full-order perturbation guard" in capsys.readouterr().err
 
 
 def test_synth_experiment_csv(tmp_path, capsys):

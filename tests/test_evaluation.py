@@ -23,6 +23,10 @@ def test_random_grid_model_shape_and_determinism():
     # psi(x=0) = -log p, psi(x=1) = -log(1-p)
     p = np.exp(-a.unary)
     assert np.allclose(p.sum(axis=1), 1.0)
+    # a dims tuple draws the probabilities of a chain of its voxel count
+    grid = random_grid_model((2, 3), 3)
+    assert grid.dims == (2, 3)
+    assert np.array_equal(grid.unary, random_grid_model(6, 3).unary)
 
 
 def test_synthetic_experiment_tiny():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from perturbmpm import (binary_entropy, entropy_error_bound, entropy_map,
-                        hamming_loss, required_sample_size, total_variation,
-                        voxelwise_total_variation)
+                        hamming_loss, monte_carlo_tv, required_sample_size,
+                        total_variation, voxelwise_total_variation)
 from perturbmpm.tensorio import write_uncertainty_csv
 
 
@@ -24,6 +24,19 @@ def test_voxelwise_total_variation():
     assert total_variation(p, q) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         total_variation(p, q[:1])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n_samples", [100, 1000, 10000])
+def test_monte_carlo_tv_matches_simulated_draws(m, n_samples):
+    rng = np.random.default_rng(m)
+    p = rng.dirichlet(np.ones(m), size=40)
+    # 200 runs of n_samples iid draws at every voxel, each scored against p
+    counts = rng.multinomial(n_samples, p, size=(200, 40))
+    simulated = np.mean([total_variation(c / n_samples, p) for c in counts])
+    assert monte_carlo_tv(p, n_samples) == pytest.approx(simulated, rel=0.05)
+    # a certain label has no Monte Carlo error
+    assert monte_carlo_tv(np.eye(m), n_samples) == 0.0
 
 
 def test_entropy_map_bits():

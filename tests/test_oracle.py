@@ -81,6 +81,20 @@ def test_zero_kernel_marginals_are_independent_softmax():
     assert np.allclose(marg, softmax(-unary, axis=1), atol=1e-12)
 
 
+GRID_MODELS = COUPLED_MODELS + [
+    build_grid_model((4, 4), 2, np.random.default_rng(2).normal(size=(16, 2)),
+                     [(2.0, 1.0)]),
+    build_grid_model((3, 3), 3, np.random.default_rng(3).normal(size=(9, 3)),
+                     [(2.0, 1.0)])]
+
+
+@pytest.mark.parametrize("model", GRID_MODELS)
+def test_exact_map_is_argmin_of_enumerated_energies(model):
+    energies = enumerate_gibbs(model).energies
+    assert np.array_equal(exact_map(model), decode_labeling(
+        np.argmin(energies), model.n_voxels, model.n_labels))
+
+
 def test_exact_map_minimises_energy():
     model = random_grid_model(5, 3)
     dist = enumerate_gibbs(model)
@@ -121,13 +135,16 @@ def test_order1_draw_t_is_exact_map_of_perturbation_t(monkeypatch):
     from perturbmpm.gumbel import _noise
 
     unary = np.random.default_rng(2).random((6, 3))
-    model = build_grid_model((2, 3), 3, unary, [(1.0, 1.0)])
+    model = build_grid_model((2, 3), 3, unary, [(1.0, 1.0), (0.5, 2.0)])
     monkeypatch.setattr(gumbel, "_BATCH_VALUES", 3 * 3 ** 6)  # 3 a batch
     draws = perturb_and_map_order1_many(model, 5, 10)
+    labelings = decode_labeling(np.arange(3 ** 6), 6, 3)
     for t in range(10):
-        noise = _noise(5, t, t + 1, (6, 3))[0]
-        assert np.array_equal(draws[t],
-                              exact_map(model.with_unary(unary - noise)))
+        # the brute-force argmin over every labeling, by the model's own
+        # energy function, not the oracle's energy tables
+        perturbed = model.with_unary(unary - _noise(5, t, t + 1, (6, 3))[0])
+        lowest = np.argmin([energy(perturbed, lab) for lab in labelings])
+        assert np.array_equal(draws[t], labelings[lowest])
 
 
 def test_order1_many_peak_is_one_batch_past_enumeration():
@@ -153,6 +170,14 @@ def test_capacity_guards():
     mid = DenseCrfModel((21,), 2, np.zeros((21, 2)))
     with pytest.raises(CapacityError):
         perturb_and_map_full_order_many(mid, 0, 1)
+    # a labeling count with more digits than Python prints is named by
+    # its power
+    huge = DenseCrfModel((20000,), 2, np.zeros((20000, 2)))
+    for run in (lambda: enumerate_gibbs(huge),
+                lambda: perturb_and_map_order1_many(huge, 0, 1),
+                lambda: perturb_and_map_full_order_many(huge, 0, 1)):
+        with pytest.raises(CapacityError, match=r"2\^20000 labelings"):
+            run()
 
 
 @pytest.mark.parametrize("dims, m", [((4, 4), 2), ((3, 3), 3)])
