@@ -21,7 +21,7 @@ exact = pm.exact_marginals(dist)
 
 # Full-order perturbation (one Gumbel per labeling) is exact Gibbs sampling;
 # it anchors the comparison.
-draws = pm.perturb_and_map_full_order_many(model, 0, 20000)
+draws = pm.perturb_and_map_full_order_many(dist, 0, 20000)
 tv_full = pm.total_variation(
     pm.empirical_marginals(pm.SampleSet(draws, 2)), exact)
 print(f"full-order perturbation, 20000 draws: TV to exact = {tv_full:.4f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import textwrap
 
@@ -21,12 +22,14 @@ from .errors import CapacityError, ConfigError, FormatError, ModelShapeError
 from .evaluation import SyntheticExperimentConfig, random_grid_model, \
     run_biomarker_experiment, run_synthetic_experiment
 from .gumbel import SampleSet, SamplingConfig, empirical_marginals, \
-    gumbel_max_select_many, perturb_and_mpm
+    perturb_and_mpm
 from .meanfield import BACKENDS, MeanField, mpm_decode
 from .metrics import entropy_error_bound, entropy_map, hamming_loss, \
     monte_carlo_tv, required_sample_size, total_variation
-from .oracle import _check_full_order, decode_labeling, enumerate_gibbs, \
-    exact_marginals, kl_product_vs_exact, perturb_and_map_order1_many
+from .model import check_dims
+from .oracle import MAX_PERTURB_STATES, check_labelings, enumerate_gibbs, \
+    exact_map, exact_marginals, kl_product_vs_exact, \
+    perturb_and_map_full_order_many, perturb_and_map_order1_many
 from .tensorio import entropy_heatmap_image, read_tensor, \
     write_biomarker_csv, write_error_curve_csv, write_manifest, \
     write_marginals_csv, write_pgm, write_tensor, write_uncertainty_csv
@@ -137,11 +140,12 @@ def _cmd_infer(args) -> int:
     q, iterations, converged = MeanField(model, inference).infer(
         model.unary[None])
     q = q[0]
+    echo = cfg.echo()
     write_tensor(args.out, q)
-    write_manifest(args.out, "infer", cfg.echo(), __version__)
+    write_manifest(args.out, "infer", echo)
     if args.csv:
         write_marginals_csv(args.csv, q)
-        write_manifest(args.csv, "infer", cfg.echo(), __version__)
+        write_manifest(args.csv, "infer", echo)
     labels = mpm_decode(q)
     if converged[0]:
         status = f"converged in {iterations[0]} iterations"
@@ -159,7 +163,7 @@ def _cmd_sample(args) -> int:
     model = load_model(cfg)
     samples = perturb_and_mpm(model, cfg.sampling())
     write_tensor(args.out, samples.labels.astype(np.uint32))
-    write_manifest(args.out, "sample", cfg.echo(), __version__)
+    write_manifest(args.out, "sample", cfg.echo())
     print(f"wrote {len(samples)} samples of {samples.n_voxels} voxels "
           f"to {args.out}")
     if cfg.epsilon is not None:
@@ -177,15 +181,16 @@ def _cmd_uncertainty(args) -> int:
     samples = perturb_and_mpm(model, cfg.sampling())
     marginals = empirical_marginals(samples)
     entropy = entropy_map(marginals)
+    echo = cfg.echo()
     write_tensor(args.out, entropy)
-    write_manifest(args.out, "uncertainty", cfg.echo(), __version__)
+    write_manifest(args.out, "uncertainty", echo)
     if args.heatmap:
         write_pgm(args.heatmap,
                   entropy_heatmap_image(entropy, model.n_labels, cfg.dims))
-        write_manifest(args.heatmap, "uncertainty", cfg.echo(), __version__)
+        write_manifest(args.heatmap, "uncertainty", echo)
     if args.csv:
         write_uncertainty_csv(args.csv, entropy)
-        write_manifest(args.csv, "uncertainty", cfg.echo(), __version__)
+        write_manifest(args.csv, "uncertainty", echo)
     flagged = int(np.sum(entropy > cfg.threshold))
     print(f"{flagged} of {model.n_voxels} voxels above "
           f"threshold {cfg.threshold} bits")
@@ -198,7 +203,7 @@ def _cmd_synth_experiment(args) -> int:
         n_inits=args.inits, base_seed=args.seed)
     curve = run_synthetic_experiment(cfg)
     write_error_curve_csv(args.out, curve)
-    write_manifest(args.out, "synth-experiment", cfg.echo(), __version__)
+    write_manifest(args.out, "synth-experiment", cfg.echo())
     for row in curve.rows:
         print(f"N={row.n_voxels:4d} T={row.n_samples:7d} "
               f"sampled={row.sampled_error:.6f} "
@@ -237,7 +242,7 @@ def _cmd_biomarker(args) -> int:
     manifest += [f"truth_pre = {args.truth_pre}",
                  f"truth_post = {args.truth_post}",
                  f"target_label = {args.target_label}"]
-    write_manifest(args.out, "biomarker", "\n".join(manifest), __version__)
+    write_manifest(args.out, "biomarker", "\n".join(manifest))
     print(f"EOR {report.eor:.4f} (corrected {report.eor_corrected:.4f}, "
           f"truth {report.truth_eor:.4f})")
     print(f"residual volume error {report.rtv_error:.2f} "
@@ -247,13 +252,12 @@ def _cmd_biomarker(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = SamplingConfig(args.samples, seed=args.seed)
+    # the full-order sampler's guard, the tighter one, before any model
+    check_dims(args.n)
+    check_labelings(2, math.prod(args.n), MAX_PERTURB_STATES)
     model = random_grid_model(args.n, args.seed)
-    # the full-order sampler's state guard first: it is the tighter one
-    _check_full_order(model)
     dist = enumerate_gibbs(model)
-    # full-order draws and the exact MAP read the enumeration's energies
-    full = decode_labeling(gumbel_max_select_many(
-        dist.energies, args.seed, args.samples), *model.unary.shape)
+    full = perturb_and_map_full_order_many(dist, args.seed, args.samples)
     exact = exact_marginals(dist)
     tv_full = total_variation(
         empirical_marginals(SampleSet(full, model.n_labels)), exact)
@@ -283,8 +287,7 @@ def _cmd_oracle_check(args) -> int:
           f"{solver.free_energy(q) + dist.log_partition:.6f}")
     print("entropy error bound at TV(perturbed MPM, exact) = "
           f"{entropy_error_bound(tv_mpm, model.n_labels):.6f} bits")
-    labeling = decode_labeling(np.argmin(dist.energies), *model.unary.shape)
-    print(f"exact MAP = {' '.join(map(str, labeling))}")
+    print(f"exact MAP = {' '.join(map(str, exact_map(dist)))}")
     return EXIT_OK
 
 

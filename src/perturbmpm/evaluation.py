@@ -9,13 +9,14 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, _check_integer, _check_number
+from .errors import _check_integer, _check_number
 from .gumbel import SamplingConfig, check_seed, empirical_marginals, \
     perturb_and_mpm
 from .meanfield import InferenceConfig, mean_field_infer, mpm_decode
 from .metrics import entropy_map, total_variation
 from .model import DenseCrfModel, build_grid_model, unaries_from_probabilities
-from .oracle import MAX_ENUM_STATES, enumerate_gibbs, exact_marginals
+from .oracle import MAX_ENUM_STATES, check_labelings, enumerate_gibbs, \
+    exact_marginals
 
 # The synthetic experiment's chain models and their mean-field settings.
 _KERNEL_WEIGHT = 2.0
@@ -39,10 +40,7 @@ class SyntheticExperimentConfig:
             for value in values:
                 _check_integer(name, value, 1)
         check_seed(self.base_seed)
-        n = max(self.grid_sizes)
-        if n >= MAX_ENUM_STATES.bit_length():  # 2^n > MAX_ENUM_STATES
-            raise CapacityError(f"grid size {n}: 2^{n} labelings exceed the "
-                                f"enumeration guard of {MAX_ENUM_STATES}")
+        check_labelings(2, max(self.grid_sizes), MAX_ENUM_STATES)
 
     def echo(self) -> str:
         """Manifest text: every field, then the fixed model and inference

@@ -8,8 +8,11 @@ as its base-m digit i, voxel 0 least significant, and every table holds one
 value per code in code order; viewed as (m^(N-1-i), m, m^i), its middle
 axis is voxel i's label.  Every energy comes from one routine,
 `_energies`: a batch of unary sums plus the pairwise table, which each call
-builds once and no draw copies.  Capacity guards keep this at desk scale;
-it exists to validate the approximate samplers, not to be clever.
+builds once and no draw copies.  Only `enumerate_gibbs` forms a model's
+energy table: `exact_map`, `exact_marginals` and the full-order sampler
+read its ExactDistribution.  `check_labelings` keeps this at desk scale,
+on the labeling count before any table is built; it exists to validate
+the approximate samplers, not to be clever.
 """
 from __future__ import annotations
 
@@ -23,10 +26,22 @@ from .model import DenseCrfModel, pairwise_matrix
 
 MAX_ENUM_STATES = 2 ** 24
 MAX_PERTURB_STATES = 2 ** 20
+_GUARDS = {MAX_ENUM_STATES: "enumeration",
+           MAX_PERTURB_STATES: "full-order perturbation"}
 
 
 def n_states(model: DenseCrfModel) -> int:
     return model.n_labels ** model.n_voxels
+
+
+def check_labelings(n_labels: int, n_voxels: int, limit: int) -> None:
+    """Raise CapacityError when n_labels^n_voxels labelings exceed limit,
+    MAX_ENUM_STATES or MAX_PERTURB_STATES; the power is never formed when
+    its exponent alone shows it is over."""
+    if n_labels > 1 and (n_voxels >= limit.bit_length()
+                         or n_labels ** n_voxels > limit):
+        raise CapacityError(f"{n_labels}^{n_voxels} labelings exceeds the "
+                            f"{_GUARDS[limit]} guard of {limit}")
 
 
 def decode_labeling(codes, n_voxels: int, n_labels: int) -> np.ndarray:
@@ -46,10 +61,7 @@ def _pair_energies(model: DenseCrfModel) -> np.ndarray:
     """Pairwise energy of every labeling, in code order, grown a voxel at a
     time: voxel j is the leading digit of an (m, m^j) table, and each pair
     i < j adds k_ij on the labelings where digits i and j differ."""
-    if n_states(model) > MAX_ENUM_STATES:
-        raise CapacityError(
-            f"{model.n_labels}^{model.n_voxels} labelings exceeds "
-            f"the enumeration guard of {MAX_ENUM_STATES}")
+    check_labelings(model.n_labels, model.n_voxels, MAX_ENUM_STATES)
     m = model.n_labels
     pair = pairwise_matrix(model)
     differ = 1.0 - np.eye(m)
@@ -80,11 +92,6 @@ def _energies(pair: np.ndarray, unaries: np.ndarray) -> np.ndarray:
     return e
 
 
-def _all_energies(model: DenseCrfModel) -> np.ndarray:
-    """Energies of every labeling, in labeling-code order."""
-    return _energies(_pair_energies(model), model.unary[None])[0]
-
-
 @dataclasses.dataclass(frozen=True)
 class ExactDistribution:
     """Fully enumerated Gibbs distribution of a tiny model."""
@@ -103,7 +110,7 @@ class ExactDistribution:
 
 def enumerate_gibbs(model: DenseCrfModel) -> ExactDistribution:
     """Enumerate every labeling and normalise with log-sum-exp."""
-    energies = _all_energies(model)
+    energies = _energies(_pair_energies(model), model.unary[None])[0]
     # log Z = log(1 + s) - E_min, where s sums exp(E_min - E) over every
     # labeling but the (first) minimum-energy one
     lowest = np.argmin(energies)
@@ -122,28 +129,19 @@ def exact_marginals(dist: ExactDistribution) -> np.ndarray:
                      for i in range(dist.n_voxels)])
 
 
-def exact_map(model: DenseCrfModel) -> np.ndarray:
+def exact_map(dist: ExactDistribution) -> np.ndarray:
     """Global energy minimiser; ties break toward the lowest labeling code."""
-    return decode_labeling(np.argmin(_all_energies(model)),
-                           *model.unary.shape)
+    return decode_labeling(np.argmin(dist.energies), dist.n_voxels,
+                           dist.n_labels)
 
 
-def _check_full_order(model: DenseCrfModel) -> None:
-    """Raise CapacityError when model has too many labelings to perturb
-    each one; this guard is tighter than enumeration's."""
-    if n_states(model) > MAX_PERTURB_STATES:
-        raise CapacityError(
-            f"{model.n_labels}^{model.n_voxels} labelings exceeds the "
-            f"full-order perturbation guard of {MAX_PERTURB_STATES}")
-
-
-def perturb_and_map_full_order_many(model: DenseCrfModel, seed: int,
+def perturb_and_map_full_order_many(dist: ExactDistribution, seed: int,
                                     count: int) -> np.ndarray:
     """Exact Gibbs draws: perturb every labeling's energy with draw t of
     the seed, take the argmin (Gumbel-max over the labelings)."""
-    _check_full_order(model)
-    return decode_labeling(gumbel_max_select_many(_all_energies(model), seed,
-                                                  count), *model.unary.shape)
+    check_labelings(dist.n_labels, dist.n_voxels, MAX_PERTURB_STATES)
+    return decode_labeling(gumbel_max_select_many(dist.energies, seed, count),
+                           dist.n_voxels, dist.n_labels)
 
 
 def perturb_and_map_order1_many(model: DenseCrfModel, seed: int,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import FormatError
 
 MAGIC = b"PMPM"
@@ -213,12 +214,11 @@ def write_biomarker_csv(path, report) -> None:
 
 # -- manifests ------------------------------------------------------------
 
-def write_manifest(output_path, command: str, config_text: str,
-                   version: str) -> None:
-    """Sidecar text manifest for an output artifact (no timestamps, so
-    identical runs produce identical manifests)."""
+def write_manifest(output_path, command: str, config_text: str) -> None:
+    """Sidecar text manifest for an output artifact and the package version
+    (no timestamps, so identical runs produce identical manifests)."""
     manifest = Path(str(output_path) + ".manifest.txt")
-    lines = [f"artifact-version: {version}", f"command: {command}",
+    lines = [f"artifact-version: {__version__}", f"command: {command}",
              "config:"]
     lines += ["  " + line for line in config_text.splitlines()]
     manifest.write_text("\n".join(lines) + "\n")

@@ -38,10 +38,11 @@ def test_02_full_order_perturbation_exact():
     p0 = rng.random(6)
     unary = pm.unaries_from_probabilities(np.stack([p0, 1 - p0], axis=1))
     model = pm.build_grid_model((2, 3), 2, unary, [(1.0, 1.0)])
-    exact = pm.exact_marginals(pm.enumerate_gibbs(model))
+    dist = pm.enumerate_gibbs(model)
+    exact = pm.exact_marginals(dist)
     t0 = time.time()
     draws = pm.perturb_and_map_full_order_many(
-        model, 0, 10 ** 5)
+        dist, 0, 10 ** 5)
     elapsed = time.time() - t0
     emp = pm.empirical_marginals(pm.SampleSet(draws, 2))
     tv = pm.voxelwise_total_variation(emp, exact).max()

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perturbmpm import SyntheticExperimentConfig, exact_map, \
-    random_grid_model, read_pgm, read_tensor, write_pgm, write_tensor
+from perturbmpm import SyntheticExperimentConfig, enumerate_gibbs, \
+    exact_map, random_grid_model, read_pgm, read_tensor, write_pgm, \
+    write_tensor
 from perturbmpm.cli import _build_parser, main
 
 
@@ -239,8 +240,8 @@ def test_oracle_check_prints_tv(capsys):
     assert float(free) == pytest.approx(float(kl), abs=1e-6)
     assert float(values["entropy error bound at TV(perturbed MPM, exact)"]
                  .removesuffix(" bits")) >= 0
-    assert values["exact MAP"] == \
-        " ".join(map(str, exact_map(random_grid_model(5, 0))))
+    assert values["exact MAP"] == " ".join(
+        map(str, exact_map(enumerate_gibbs(random_grid_model(5, 0)))))
 
 
 def test_oracle_check_takes_2d_grids(capsys):
@@ -253,12 +254,27 @@ def test_oracle_check_takes_2d_grids(capsys):
         "TV(perturbed MPM, order-1 MAP)", "TV(mean field, exact)",
         "entropy error bound at TV(perturbed MPM, exact)", "exact MAP"]
     assert lines[-1].split(" = ")[1] == \
-        " ".join(map(str, exact_map(random_grid_model((3, 3), 0))))
+        " ".join(map(str, exact_map(enumerate_gibbs(
+            random_grid_model((3, 3), 0)))))
     # a 5x5 binary grid is past the full-order guard, and so is a grid
     # whose labeling count has more digits than Python prints
     for dims in (["5", "5"], ["200", "200"]):
         assert main(["oracle-check", "--n", *dims]) == 3
         assert "full-order perturbation guard" in capsys.readouterr().err
+
+
+def test_oracle_check_guards_before_building_a_model(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("perturbmpm.cli.random_grid_model",
+                        lambda *args: calls.append(args))
+    assert main(["oracle-check", "--n", "1000", "1000"]) == 3
+    assert "2^1000000 labelings exceeds the full-order perturbation guard" \
+        in capsys.readouterr().err
+    # a bad size is still a data error, not a capacity one
+    assert main(["oracle-check", "--n", "-1000", "-1000"]) == 2
+    assert "grid dims must be one or more positive sizes" in \
+        capsys.readouterr().err
+    assert calls == []
 
 
 def test_synth_experiment_csv(tmp_path, capsys):

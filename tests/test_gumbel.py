@@ -12,8 +12,8 @@ from perturbmpm.gumbel import check_seed
 from perturbmpm import (EULER_GAMMA, InferenceConfig, MeanField,
                         ModelShapeError, SampleSet, SamplingConfig,
                         build_grid_model, empirical_marginals,
-                        gumbel_max_select_many, iteration_noise,
-                        mean_field_infer, mpm_decode,
+                        enumerate_gibbs, gumbel_max_select_many,
+                        iteration_noise, mean_field_infer, mpm_decode,
                         perturb_and_map_full_order_many,
                         perturb_and_map_order1_many, perturb_and_mpm)
 from perturbmpm.evaluation import random_grid_model
@@ -329,7 +329,7 @@ SAMPLERS = {
     "order1": (lambda count: perturb_and_map_order1_many(_CHAIN, 9, count),
                2 ** 12),
     "full-order": (lambda count: perturb_and_map_full_order_many(
-        _CHAIN, 9, count), 2 ** 12),
+        enumerate_gibbs(_CHAIN), 9, count), 2 ** 12),
     "select": (lambda count: gumbel_max_select_many(
         np.random.default_rng(6).random(7), 9, count), 7),
 }
@@ -451,7 +451,7 @@ _SEEDED = {
     "select": (lambda seed, count: gumbel_max_select_many(
         np.zeros(2), seed, count), "count"),
     "full-order": (lambda seed, count: perturb_and_map_full_order_many(
-        random_grid_model(3, 0), seed, count), "count"),
+        enumerate_gibbs(random_grid_model(3, 0)), seed, count), "count"),
     "order1": (lambda seed, count: perturb_and_map_order1_many(
         random_grid_model(3, 0), seed, count), "count"),
     "noise": (lambda seed, t: iteration_noise(seed, t, 3), "t"),

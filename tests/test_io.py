@@ -137,11 +137,11 @@ def test_entropy_heatmap_scaling():
 
 def test_manifest_deterministic(tmp_path):
     out = tmp_path / "x.pmt"
-    write_manifest(out, "sample", "seed = 1\nsamples = 2", "1.0.0")
+    write_manifest(out, "sample", "seed = 1\nsamples = 2")
     first = (tmp_path / "x.pmt.manifest.txt").read_text()
     assert "seed = 1" in first
     assert "sample" in first
-    write_manifest(out, "sample", "seed = 1\nsamples = 2", "1.0.0")
+    write_manifest(out, "sample", "seed = 1\nsamples = 2")
     assert (tmp_path / "x.pmt.manifest.txt").read_text() == first
 
 

@@ -16,6 +16,8 @@ from perturbmpm import (CapacityError, DenseCrfModel, InferenceConfig,
 from perturbmpm.evaluation import random_grid_model
 import perturbmpm.gumbel as gumbel
 import perturbmpm.oracle as oracle
+from perturbmpm.oracle import MAX_ENUM_STATES, MAX_PERTURB_STATES, \
+    check_labelings
 
 
 def test_labeling_codes_round_trip():
@@ -46,7 +48,7 @@ COUPLED_MODELS = [
 
 @pytest.mark.parametrize("model", COUPLED_MODELS)
 def test_pair_energies_match_energy_function_on_random_labelings(model):
-    energies = oracle._all_energies(model)
+    energies = enumerate_gibbs(model).energies
     codes = np.random.default_rng(7).integers(0, len(energies), 200)
     for code in codes:
         lab = decode_labeling(code, model.n_voxels, model.n_labels)
@@ -90,32 +92,40 @@ GRID_MODELS = COUPLED_MODELS + [
 
 @pytest.mark.parametrize("model", GRID_MODELS)
 def test_exact_map_is_argmin_of_enumerated_energies(model):
-    energies = enumerate_gibbs(model).energies
-    assert np.array_equal(exact_map(model), decode_labeling(
-        np.argmin(energies), model.n_voxels, model.n_labels))
+    dist = enumerate_gibbs(model)
+    assert np.array_equal(exact_map(dist), decode_labeling(
+        np.argmin(dist.energies), model.n_voxels, model.n_labels))
 
 
 def test_exact_map_minimises_energy():
     model = random_grid_model(5, 3)
     dist = enumerate_gibbs(model)
-    lab = exact_map(model)
+    lab = exact_map(dist)
     assert energy(model, lab) == pytest.approx(dist.energies.min())
 
 
 def test_full_order_perturbation_is_exact_gibbs():
     model = random_grid_model(5, 5)
     dist = enumerate_gibbs(model)
-    draws = perturb_and_map_full_order_many(model, 1, 50_000)
+    draws = perturb_and_map_full_order_many(dist, 1, 50_000)
     emp = empirical_marginals(SampleSet(draws, 2))
     assert total_variation(emp, exact_marginals(dist)) < 0.01
 
 
-def test_full_order_draw_t_is_argmin_of_noise_block_t():
+def test_full_order_draw_t_is_argmin_of_noise_block_t(monkeypatch):
     from perturbmpm.gumbel import _noise
 
-    model = random_grid_model(4, 2)
-    energies = enumerate_gibbs(model).energies
-    draws = perturb_and_map_full_order_many(model, 5, 30)
+    dist = enumerate_gibbs(random_grid_model(4, 2))
+
+    def rebuilt(model):
+        raise AssertionError("energies rebuilt from the model")
+
+    # the MAP and the draws read the given enumeration's energies
+    monkeypatch.setattr(oracle, "_pair_energies", rebuilt)
+    energies = dist.energies
+    assert np.array_equal(exact_map(dist),
+                          decode_labeling(np.argmin(energies), 4, 2))
+    draws = perturb_and_map_full_order_many(dist, 5, 30)
     for t in range(30):
         code = np.argmin(energies - _noise(5, t, t + 1, (energies.size,))[0])
         assert np.array_equal(draws[t], decode_labeling(code, 4, 2))
@@ -169,15 +179,30 @@ def test_capacity_guards():
         enumerate_gibbs(big)
     mid = DenseCrfModel((21,), 2, np.zeros((21, 2)))
     with pytest.raises(CapacityError):
-        perturb_and_map_full_order_many(mid, 0, 1)
+        perturb_and_map_full_order_many(enumerate_gibbs(mid), 0, 1)
     # a labeling count with more digits than Python prints is named by
     # its power
     huge = DenseCrfModel((20000,), 2, np.zeros((20000, 2)))
     for run in (lambda: enumerate_gibbs(huge),
                 lambda: perturb_and_map_order1_many(huge, 0, 1),
-                lambda: perturb_and_map_full_order_many(huge, 0, 1)):
+                lambda: check_labelings(2, 20000, MAX_PERTURB_STATES)):
         with pytest.raises(CapacityError, match=r"2\^20000 labelings"):
             run()
+
+
+@pytest.mark.parametrize("limit, guard", [
+    (MAX_ENUM_STATES, "enumeration"),
+    (MAX_PERTURB_STATES, "full-order perturbation")])
+def test_check_labelings_bounds_the_count(limit, guard):
+    bits = limit.bit_length() - 1  # limit is 2^bits
+    check_labelings(2, bits, limit)
+    check_labelings(4, bits // 2, limit)
+    check_labelings(1, 10 ** 9, limit)  # one labeling
+    for m, n in ((2, bits + 1), (3, bits), (5, 10 ** 9)):
+        with pytest.raises(CapacityError,
+                           match=rf"^{m}\^{n} labelings exceeds the {guard} "
+                                 rf"guard of {limit}$"):
+            check_labelings(m, n, limit)
 
 
 @pytest.mark.parametrize("dims, m", [((4, 4), 2), ((3, 3), 3)])
